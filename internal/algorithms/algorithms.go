@@ -293,6 +293,7 @@ func (h *HITS) send(ctx *pregel.Context[HITSState, HITSMsg]) {
 type hitsCombiner struct{}
 
 func (hitsCombiner) Combine(a, b HITSMsg) HITSMsg { a.Val += b.Val; return a }
+func (hitsCombiner) Keys() int                    { return 2 }
 func (hitsCombiner) Key(m HITSMsg) uint32 {
 	if m.ToAuth {
 		return 1

@@ -3,12 +3,14 @@ package vm
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/pregel"
+	"repro/internal/programs"
 )
 
 // TestRunContextCancelledReturnsPartialResult cancels a compiled run
@@ -90,6 +92,41 @@ func TestFieldVectorUnknownField(t *testing.T) {
 	}
 	if err == nil || err.Error() == ErrUnknownField.Error() {
 		t.Fatalf("error %q should name the missing field", err)
+	}
+}
+
+// TestFieldVectorMatchesField checks that the strided FieldVector copy
+// reads the same slot as per-vertex Field, for every layout field
+// (user and synthesized) of every corpus program.
+func TestFieldVectorMatchesField(t *testing.T) {
+	directed := directedTestGraph()
+	undirected := graph.RMAT(8, 4, 0.57, 0.19, 0.19, false, 42)
+	for _, name := range programs.Names() {
+		t.Run(name, func(t *testing.T) {
+			g := directed
+			if name == "cc" || name == "maxval" { // #neighbors programs
+				g = undirected
+			}
+			prog := compileT(t, name, core.Incremental)
+			res, err := Run(prog, g, RunOptions{Workers: 2, Params: equivParams(name), Combine: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range prog.Layout.Fields {
+				vec, err := res.FieldVector(f.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(vec) != g.NumVertices() {
+					t.Fatalf("%s: %d values for %d vertices", f.Name, len(vec), g.NumVertices())
+				}
+				for u, got := range vec {
+					if want := res.Field(f.Name, graph.VertexID(u)); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s[%d]: FieldVector %v, Field %v", f.Name, u, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

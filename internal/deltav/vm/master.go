@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/deltav/ast"
@@ -205,48 +204,54 @@ func (m *Machine) evalMaster(e ast.Expr, iter int, fixpoint bool) float64 {
 // combiner builds the sender-side combiner for the program, or nil when no
 // group is combinable. Messages of a combinable group (single-strategy,
 // non-multiplicative slots, no sender identity) combine slot-wise with
-// their sites' operators; all other messages get unique keys and pass
-// through untouched.
+// their sites' operators under the group's key; all other messages carry
+// pregel.NoKey and pass through untouched.
 func (m *Machine) combiner() pregel.Combiner[Msg] {
-	combinable := make([]bool, len(m.prog.Groups))
+	ops := make([][]ast.AggOp, len(m.prog.Groups))
 	any := false
 	for _, g := range m.prog.Groups {
 		ok := g.Strategy != core.StrategyTable
-		for _, sid := range g.Sites {
+		gops := make([]ast.AggOp, len(g.Sites)) // non-nil even with no sites
+		for i, sid := range g.Sites {
 			s := m.prog.Sites[sid]
 			if s.Multiplicative() {
 				ok = false // nullary tags are not mergeable
 			}
+			gops[i] = s.Op
 		}
-		combinable[g.ID] = ok
-		any = any || ok
+		if ok {
+			ops[g.ID] = gops
+			any = true
+		}
 	}
 	if !any {
 		return nil
 	}
-	return &vmCombiner{m: m, combinable: combinable}
+	return &vmCombiner{ops: ops}
 }
 
+// vmCombiner is the VM's pregel.KeyedCombiner: ops[g] lists the ⊞ of each
+// slot of send group g, or is nil when g is not combinable.
 type vmCombiner struct {
-	m          *Machine
-	combinable []bool
-	serial     atomic.Uint32
+	ops [][]ast.AggOp
 }
 
-// Key implements pregel.KeyedCombiner: combinable groups share a key per
-// group; everything else gets a unique key so it is never combined.
+// Keys implements pregel.KeyedCombiner: one key per send group.
+func (c *vmCombiner) Keys() int { return len(c.ops) }
+
+// Key implements pregel.KeyedCombiner: a combinable group's messages share
+// the group id; everything else is never combined.
 func (c *vmCombiner) Key(msg Msg) uint32 {
-	if c.combinable[msg.Group] {
+	if c.ops[msg.Group] != nil {
 		return uint32(msg.Group)
 	}
-	return 1<<31 | c.serial.Add(1)
+	return pregel.NoKey
 }
 
 // Combine merges two same-group messages slot-wise with each slot's ⊞.
 func (c *vmCombiner) Combine(a, b Msg) Msg {
-	g := c.m.prog.Groups[a.Group]
-	for i, sid := range g.Sites {
-		a.Vals[i] = core.Apply(c.m.prog.Sites[sid].Op, a.Vals[i], b.Vals[i])
+	for i, op := range c.ops[a.Group] {
+		a.Vals[i] = core.Apply(op, a.Vals[i], b.Vals[i])
 	}
 	return a
 }

@@ -10,8 +10,9 @@ import (
 
 // TestSteadyStateAllocs pins the engine's zero-allocation invariant: once
 // the per-run scratch is warm (superstep >= 2), a superstep performs no
-// heap allocation on the non-keyed PageRank and SSSP message paths, under
-// both schedulers.
+// heap allocation on the PageRank and SSSP message paths, nor on a keyed
+// HITS-shaped path mixing two combine keys with NoKey messages, under both
+// schedulers.
 //
 // Measuring "allocations per superstep" directly is awkward because Run
 // drives the whole superstep loop, so the test measures the marginal cost:
@@ -25,6 +26,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	g := graph.RMAT(10, 8, 0.57, 0.19, 0.19, true, 7)
+	g.BuildReverse()
 	ring := graph.Cycle(64, true)
 	for _, sched := range []Scheduler{ScanAll, WorkQueue} {
 		sched := sched
@@ -56,7 +58,52 @@ func TestSteadyStateAllocs(t *testing.T) {
 			}
 			checkMarginalAllocs(t, run(2), run(4))
 		})
+		t.Run("keyed/"+schedName(sched), func(t *testing.T) {
+			run := func(rounds int) func() int {
+				return func() int {
+					e := New[prVal, keyMsg](g, Options{Workers: 4, Scheduler: sched, MaxSupersteps: 32})
+					e.SetCombiner(keyComb{})
+					stats, err := e.Run(hubAuthProgram{rounds: rounds})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return stats.Supersteps
+				}
+			}
+			checkMarginalAllocs(t, run(5), run(9))
+		})
 	}
+}
+
+// hubAuthProgram is a HITS-shaped keyed workload: every round each vertex
+// sends key 0 along its out-edges, key 1 along its in-edges, and one NoKey
+// message to its successor ID, and sums everything it receives.
+type hubAuthProgram struct{ rounds int }
+
+func (p hubAuthProgram) Init(ctx *Context[prVal, keyMsg]) { p.send(ctx) }
+
+func (p hubAuthProgram) Compute(ctx *Context[prVal, keyMsg], msgs []keyMsg) {
+	for _, m := range msgs {
+		ctx.Value().Rank += m.Val
+	}
+	if ctx.Superstep() < p.rounds {
+		p.send(ctx)
+	} else {
+		ctx.VoteToHalt()
+	}
+}
+
+func (hubAuthProgram) send(ctx *Context[prVal, keyMsg]) {
+	out := ctx.OutArcs()
+	for out.Next() {
+		ctx.Send(out.To(), keyMsg{Key: 0, Val: 1})
+	}
+	in := ctx.InArcs()
+	for in.Next() {
+		ctx.Send(in.To(), keyMsg{Key: 1, Val: 2})
+	}
+	next := (int(ctx.ID()) + 1) % ctx.NumVertices()
+	ctx.Send(VertexID(next), keyMsg{Key: NoKey, Val: 3})
 }
 
 // TestCheckpointSteadyStateAllocs pins the checkpoint-capture cost: with a

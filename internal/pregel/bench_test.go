@@ -226,55 +226,68 @@ func BenchmarkSend(b *testing.B) {
 	}
 }
 
-// BenchmarkCombine measures one worker's sender-side combining pass over a
-// full broadcast round: the dense slot-table path against the map-indexed
-// KeyedCombiner fallback, per graph shape and partitioning.
+// BenchmarkCombine measures one worker's Send path over a full broadcast
+// round, where combining happens as messages are sent: without a
+// combiner, with a plain combiner (one table entry per destination slot)
+// and with a two-key KeyedCombiner, per graph shape and partitioning.
 func BenchmarkCombine(b *testing.B) {
-	type cfg struct {
-		name string
-		c    Combiner[float64]
-	}
 	sum := CombinerFunc[float64](func(a, b float64) float64 { return a + b })
 	for _, gs := range messagePlaneGraphs() {
 		for _, part := range []Partition{PartitionBlock, PartitionHash} {
-			for _, tc := range []cfg{{"dense", sum}, {"keyed-map", benchKeyCombiner{}}} {
+			for _, tc := range []struct {
+				name string
+				c    Combiner[float64]
+			}{{"none", nil}, {"plain", sum}, {"keyed", parityCombiner{}}} {
 				gs, part, tc := gs, part, tc
 				b.Run(gs.name+"/"+part.String()+"/"+tc.name, func(b *testing.B) {
 					e := New[sumVal, float64](gs.g, Options{Workers: 4, Partition: part})
-					e.SetCombiner(tc.c)
 					w := e.workers[0]
-					w.combSlot = make([]int32, e.block)
-					w.combStamp = make([]uint32, e.block)
-					fillOutboxes(e)
-					// Snapshot worker 0's outboxes: combining compacts them
-					// in place, so each iteration restores from the copy.
-					to := make([][]VertexID, len(w.outTo))
-					msg := make([][]float64, len(w.outMsg))
-					for d := range w.outTo {
-						to[d] = append([]VertexID(nil), w.outTo[d]...)
-						msg[d] = append([]float64(nil), w.outMsg[d]...)
+					if tc.c != nil {
+						// What Run sizes before the first superstep.
+						e.combiner, e.combKeys = tc.c, 1
+						if e.keyed, _ = tc.c.(KeyedCombiner[float64]); e.keyed != nil {
+							e.combKeys = e.keyed.Keys()
+						}
+						w.comb = make([]combEntry, e.opts.Workers*e.block*e.combKeys)
 					}
+					ctx := &w.ctx
+					n := gs.g.NumVertices()
+					round := func() {
+						for d := range w.outTo {
+							w.outTo[d] = w.outTo[d][:0]
+							w.outMsg[d] = w.outMsg[d][:0]
+						}
+						w.combEpoch++
+						for slot := w.lo; slot < w.hi; slot++ {
+							u := e.vertexAt(slot)
+							if u >= n {
+								continue
+							}
+							for _, v := range gs.g.OutNeighbors(VertexID(u)) {
+								ctx.Send(v, float64(v&1))
+							}
+						}
+					}
+					round() // warm outbox capacity
+					w.sent = 0
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						for d := range to {
-							w.outTo[d] = append(w.outTo[d][:0], to[d]...)
-							w.outMsg[d] = append(w.outMsg[d][:0], msg[d]...)
-						}
-						w.combineOut()
+						round()
 					}
+					b.ReportMetric(float64(w.sent)/float64(b.N), "sends/op")
 				})
 			}
 		}
 	}
 }
 
-// benchKeyCombiner forces the KeyedCombiner map fallback with a constant
-// key — semantically identical to the dense sum path.
-type benchKeyCombiner struct{}
+// parityCombiner sums float messages per parity key: Keys() == 2.
+type parityCombiner struct{}
 
-func (benchKeyCombiner) Combine(a, b float64) float64 { return a + b }
-func (benchKeyCombiner) Key(float64) uint32           { return 0 }
+func (parityCombiner) Combine(a, b float64) float64 { return a + b }
+func (parityCombiner) Keys() int                    { return 2 }
+func (parityCombiner) Key(m float64) uint32         { return uint32(m) & 1 }
 
 // BenchmarkExchange measures the count/scatter/wake delivery pass over a
 // full uncombined broadcast round, per graph shape, scheduler and

@@ -60,13 +60,18 @@ func (c *Context[V, M]) InWeights() []float64 { return c.eng.g.InWeights(c.id) }
 // OutDegree returns this vertex's out-degree.
 func (c *Context[V, M]) OutDegree() int { return c.eng.g.OutDegree(c.id) }
 
-// Send sends m to vertex `to`, to be received next superstep.
+// Send sends m to vertex `to`, to be received next superstep. A combiner
+// folds m into this superstep's envelope for the same destination and key.
 func (c *Context[V, M]) Send(to VertexID, m M) {
 	w := c.w
+	w.sent++
+	if w.comb != nil {
+		w.sendCombined(to, m)
+		return
+	}
 	d := c.eng.ownerOf(to)
 	w.outTo[d] = append(w.outTo[d], to)
 	w.outMsg[d] = append(w.outMsg[d], m)
-	w.sent++
 }
 
 // BroadcastOut sends m along every out-edge. The flat path ranges over

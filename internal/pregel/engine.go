@@ -28,6 +28,8 @@ type Engine[V, M any] struct {
 	block   int // vertices per worker block
 
 	combiner   Combiner[M]
+	keyed      KeyedCombiner[M] // combiner, when it is keyed; set by Run
+	combKeys   int              // combine-table entries per slot
 	msgBytes   int
 	aggs       map[string]*aggregator
 	aggList    []*aggregator // registration order; index == aggregator.index
@@ -90,17 +92,11 @@ type worker[V, M any] struct {
 	// Exchange scatter cursor, sized once in New.
 	cursor []int32
 
-	// Dense combining scratch: combSlot[li] is the index (into the
-	// combined prefix of the bucket being processed) of the envelope
-	// addressed to local destination slot li; valid only while
-	// combStamp[li] == combEpoch, so the table is never cleared.
-	combSlot  []int32
-	combStamp []uint32
+	// Send-time combine table over all (destination slot, key) pairs, nil
+	// without a combiner; an entry is live only while its stamp equals
+	// combEpoch, so the table is never cleared between supersteps.
+	comb      []combEntry
 	combEpoch uint32
-
-	// Reusable fallback index for KeyedCombiner, where (vertex, key)
-	// pairs are too sparse for a dense table.
-	keyedIdx map[uint64]int32
 
 	ctx Context[V, M]
 
@@ -108,20 +104,22 @@ type worker[V, M any] struct {
 	// exchange into panicErr, which the master reads after the barrier
 	// (the WaitGroup wait orders the accesses). inVertex is true exactly
 	// while a vertex's Init/Compute is on the stack, so a recovered
-	// compute-phase panic can be attributed to ctx.id.
-	panicErr *RunError
-	inVertex bool
+	// compute-phase panic can be attributed to ctx.id. inCombine is true
+	// while Send runs the combiner, whose panics are never quarantined.
+	panicErr  *RunError
+	inVertex  bool
+	inCombine bool
 
 	// timedOut is set by the cooperative StepTimeout check inside the
 	// vertex loop; the master reads it after the compute barrier.
 	timedOut bool
 
-	// Quarantine scratch (Options.Quarantine only): sendMark records the
-	// per-destination outbox lengths before each vertex call so a
-	// panicking vertex's partial sends can be rolled back, and
-	// quarantined collects the vertices recovered this superstep (the
-	// master drains it after the compute barrier).
+	// Quarantine scratch (Options.Quarantine only): sendMark and undo hold
+	// each vertex call's outbox lengths and folds into older envelopes, so
+	// a panicking vertex's sends can be rolled back; quarantined collects
+	// the vertices recovered this superstep (drained after the barrier).
 	sendMark    []int
+	undo        []combineUndo[M]
 	quarantined []VertexID
 
 	// Per-superstep partial stats.
@@ -276,11 +274,7 @@ func (e *Engine[V, M]) vertexAt(slot int) int {
 }
 
 func (e *Engine[V, M]) ownerOf(v VertexID) int {
-	w := e.slotOf(v) / e.block
-	if w >= e.opts.Workers {
-		w = e.opts.Workers - 1
-	}
-	return w
+	return e.slotOf(v) / e.block
 }
 
 type workerCmd int
@@ -377,13 +371,15 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 
 	// Size the remaining per-run scratch now that combiner and aggregators
 	// are known; nothing below allocates per superstep.
-	_, keyed := e.combiner.(KeyedCombiner[M])
+	e.combKeys = 1
+	if e.keyed, _ = e.combiner.(KeyedCombiner[M]); e.keyed != nil {
+		e.combKeys = max(e.keyed.Keys(), 0)
+	}
 	for _, wk := range e.workers {
 		wk.aggPend = make([]float64, len(e.aggList))
 		wk.aggSeen = make([]bool, len(e.aggList))
-		if e.combiner != nil && !keyed && e.shard.owns(wk.id) {
-			wk.combSlot = make([]int32, e.block)
-			wk.combStamp = make([]uint32, e.block)
+		if e.combiner != nil && e.shard.owns(wk.id) {
+			wk.comb = make([]combEntry, e.opts.Workers*e.block*e.combKeys)
 		}
 		if e.opts.Quarantine {
 			wk.sendMark = make([]int, e.opts.Workers)
@@ -689,6 +685,10 @@ func (w *worker[V, M]) step(cmd workerCmd, prog Program[V, M]) {
 		}
 		if cmd == cmdCompute {
 			re.Phase = "compute"
+			if w.inCombine {
+				re.Phase = "combine"
+				w.inCombine = false
+			}
 			if w.inVertex {
 				re.Vertex, re.HasVertex = w.ctx.id, true
 				w.inVertex = false
@@ -732,14 +732,18 @@ func (e *Engine[V, M]) mergeAggregators() {
 	}
 }
 
-// compute runs Init/Compute over this worker's runnable vertices and
-// flushes (and optionally combines) outgoing messages.
+// compute runs Init/Compute over this worker's runnable vertices; their
+// sends fill (and, with a combiner, fold into) the outboxes.
 func (w *worker[V, M]) compute(prog Program[V, M]) {
 	e := w.eng
 	w.sent, w.ran = 0, 0
 	for d := range w.outTo {
 		w.outTo[d] = w.outTo[d][:0]
 		w.outMsg[d] = w.outMsg[d][:0]
+	}
+	if w.combEpoch++; w.combEpoch == 0 { // uint32 wrap: stale stamps would alias
+		clear(w.comb)
+		w.combEpoch = 1
 	}
 	queue := e.opts.Scheduler == WorkQueue
 	if queue {
@@ -823,39 +827,47 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 			}
 		}
 	}
-	if e.combiner != nil && !w.timedOut {
-		w.combineOut()
-	}
 }
 
 // runGuarded invokes the vertex program under Options.Quarantine: a panic
 // raised by Init/Compute is recovered here — at vertex granularity rather
 // than at the superstep barrier — the vertex's partial sends are rolled
-// back to the marks taken before the call, its message count is restored,
-// and the vertex is removed from the computation. The worker loop then
-// continues with the next vertex, so one poisoned vertex cannot abort a
-// resident run. Returns whether the vertex panicked.
+// back, its message count is restored, and the vertex is removed from the
+// computation; the worker loop continues, so one poisoned vertex cannot
+// abort a resident run (a combiner panic is left to step() and does).
 func (w *worker[V, M]) runGuarded(prog Program[V, M], slot int) (panicked bool) {
 	e := w.eng
 	for d := range w.outTo {
 		w.sendMark[d] = len(w.outTo[d])
 	}
+	w.undo = w.undo[:0]
 	sent := w.sent
 	defer func() {
+		if w.inCombine {
+			return
+		}
 		r := recover()
 		if r == nil {
 			return
 		}
 		panicked = true
-		u := w.ctx.id
-		for d := range w.outTo {
-			w.outTo[d] = w.outTo[d][:w.sendMark[d]]
-			w.outMsg[d] = w.outMsg[d][:w.sendMark[d]]
+		// Undo folds newest first, then drop the envelopes the vertex opened.
+		for i := len(w.undo) - 1; i >= 0; i-- {
+			w.outMsg[w.undo[i].d][w.undo[i].j] = w.undo[i].old
+		}
+		for d, mark := range w.sendMark {
+			for j := mark; w.comb != nil && j < len(w.outTo[d]); j++ {
+				if row, ok := w.combRow(e.slotOf(w.outTo[d][j]), w.outMsg[d][j]); ok {
+					w.comb[row].stamp = 0
+				}
+			}
+			w.outTo[d] = w.outTo[d][:mark]
+			w.outMsg[d] = w.outMsg[d][:mark]
 		}
 		w.sent = sent
-		e.removed[u] = true
-		e.active[u] = false
-		w.quarantined = append(w.quarantined, u)
+		e.removed[w.ctx.id] = true
+		e.active[w.ctx.id] = false
+		w.quarantined = append(w.quarantined, w.ctx.id)
 	}()
 	ctx := &w.ctx
 	if e.superstep == 0 {
@@ -875,76 +887,53 @@ func (w *worker[V, M]) hasMsgs(slot int) bool {
 	return w.msgOff[slot-w.lo+1] > w.msgOff[slot-w.lo]
 }
 
-// combineOut merges messages per destination vertex (and per key, for
-// KeyedCombiners) within each destination-worker bucket, deterministically
-// (insertion order). The plain-combiner path indexes envelopes by
-// destination slot through a dense epoch-stamped table and compacts each
-// bucket in place: the combined prefix [0, j) only ever trails the read
-// position, so no fresh buffer and no per-bucket map is needed.
-func (w *worker[V, M]) combineOut() {
-	if keyed, ok := w.eng.combiner.(KeyedCombiner[M]); ok {
-		w.combineKeyed(keyed)
-		return
-	}
-	c := w.eng.combiner
-	block := w.eng.block
-	for d := range w.outTo {
-		to, msg := w.outTo[d], w.outMsg[d]
-		if len(to) <= 1 {
-			continue
-		}
-		w.combEpoch++
-		if w.combEpoch == 0 { // uint32 wrap: stale stamps would alias
-			clear(w.combStamp)
-			w.combEpoch = 1
-		}
-		base := d * block
-		j := 0
-		for i, t := range to {
-			li := w.eng.slotOf(t) - base
-			if w.combStamp[li] == w.combEpoch {
-				k := w.combSlot[li]
-				msg[k] = c.Combine(msg[k], msg[i])
-				continue
-			}
-			w.combStamp[li] = w.combEpoch
-			w.combSlot[li] = int32(j)
-			to[j] = t
-			msg[j] = msg[i]
-			j++
-		}
-		w.outTo[d] = to[:j]
-		w.outMsg[d] = msg[:j]
-	}
+// combEntry locates the envelope of one (slot, key) pair in its outbox.
+type combEntry struct{ idx, stamp uint32 }
+
+// combineUndo is an envelope's payload before a guarded vertex folded into it.
+type combineUndo[M any] struct {
+	d, j int
+	old  M
 }
 
-// combineKeyed is the sparse fallback: (destination, key) pairs don't fit
-// a dense table, so a reusable per-worker map indexes the combined prefix.
-func (w *worker[V, M]) combineKeyed(c KeyedCombiner[M]) {
-	if w.keyedIdx == nil {
-		w.keyedIdx = make(map[uint64]int32)
+// sendCombined folds m into this superstep's envelope for (to, key), or
+// opens one: envelopes keep their first send's position and fold in order.
+func (w *worker[V, M]) sendCombined(to VertexID, m M) {
+	slot := w.eng.slotOf(to)
+	d, row, ok := slot/w.eng.block, slot, true
+	if w.eng.keyed != nil {
+		row, ok = w.combRow(slot, m)
 	}
-	for d := range w.outTo {
-		to, msg := w.outTo[d], w.outMsg[d]
-		if len(to) <= 1 {
-			continue
-		}
-		clear(w.keyedIdx)
-		j := 0
-		for i, t := range to {
-			k := uint64(t) | uint64(c.Key(msg[i]))<<32
-			if p, ok := w.keyedIdx[k]; ok {
-				msg[p] = c.Combine(msg[p], msg[i])
-				continue
+	if ok {
+		ent := &w.comb[row]
+		if j := int(ent.idx); ent.stamp == w.combEpoch {
+			out := w.outMsg[d]
+			if w.sendMark != nil && j < w.sendMark[d] {
+				w.undo = append(w.undo, combineUndo[M]{d, j, out[j]})
 			}
-			w.keyedIdx[k] = int32(j)
-			to[j] = t
-			msg[j] = msg[i]
-			j++
+			w.inCombine = true
+			out[j] = w.eng.combiner.Combine(out[j], m)
+			w.inCombine = false
+			return
 		}
-		w.outTo[d] = to[:j]
-		w.outMsg[d] = msg[:j]
+		*ent = combEntry{uint32(len(w.outTo[d])), w.combEpoch}
 	}
+	w.outTo[d] = append(w.outTo[d], to)
+	w.outMsg[d] = append(w.outMsg[d], m)
+}
+
+// combRow returns the combine-table row of m sent to slot; false for NoKey.
+func (w *worker[V, M]) combRow(slot int, m M) (int, bool) {
+	if w.eng.keyed == nil {
+		return slot, true
+	}
+	w.inCombine = true
+	k, keys := w.eng.keyed.Key(m), w.eng.combKeys
+	if k >= uint32(keys) && k != NoKey {
+		panic(fmt.Sprintf("pregel: KeyedCombiner.Key returned %d, outside [0, %d)", k, keys))
+	}
+	w.inCombine = false
+	return slot*keys + int(k), k != NoKey
 }
 
 // exchange gathers inbound envelopes into a per-vertex CSR inbox, wakes

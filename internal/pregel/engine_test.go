@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -571,56 +572,125 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// constKeyCombiner wraps a plain sum combiner in the KeyedCombiner
-// interface with a constant key, which forces the engine down the sparse
-// map-indexed combining fallback while describing the exact same
-// per-destination merge as the dense slot-table path.
-type constKeyCombiner struct{}
+// keyMsg is a message for the combine-order property: Key selects the
+// combine key (NoKey: never combined) and Val is summed.
+type keyMsg struct {
+	Key uint32
+	Val float64
+}
 
-func (constKeyCombiner) Combine(a, b float64) float64 { return a + b }
-func (constKeyCombiner) Key(float64) uint32           { return 0 }
+// keyComb combines keyMsgs per key over three keys.
+type keyComb struct{}
 
-// Property: the dense slot-indexed combiner and the map-based keyed
-// fallback produce identical message statistics and identical vertex
-// values on random graphs — the dense rework must be observationally
-// equivalent to the original map scheme.
-func TestDenseCombinerMatchesKeyedFallbackProperty(t *testing.T) {
-	f := func(seed int64, workerHint uint8, hashPart bool) bool {
+func (keyComb) Combine(a, b keyMsg) keyMsg { a.Val += b.Val; return a }
+func (keyComb) Keys() int                  { return 3 }
+func (keyComb) Key(m keyMsg) uint32        { return m.Key }
+
+// inboxVal records the messages a vertex received at superstep 1.
+type inboxVal struct{ In []keyMsg }
+
+// keySend is one message of inboxProgram's superstep-0 round.
+type keySend struct {
+	to VertexID
+	m  keyMsg
+}
+
+// inboxProgram replays a fixed list of sends per vertex at superstep 0
+// and records each vertex's superstep-1 inbox.
+type inboxProgram struct{ sends [][]keySend }
+
+func (p inboxProgram) Init(ctx *Context[inboxVal, keyMsg]) {
+	for _, s := range p.sends[ctx.ID()] {
+		ctx.Send(s.to, s.m)
+	}
+	ctx.VoteToHalt()
+}
+
+func (p inboxProgram) Compute(ctx *Context[inboxVal, keyMsg], msgs []keyMsg) {
+	ctx.Value().In = append([]keyMsg(nil), msgs...)
+	ctx.VoteToHalt()
+}
+
+// Property: combining at Send delivers exactly what a reference fold
+// computes — per sending worker, one envelope per (destination, key) at
+// its first send's position, holding that pair's payloads summed in send
+// order, and every NoKey message on its own. Float sums of random values
+// do not re-associate, so any change of fold order or envelope order shows
+// up bitwise; plain combiners fold every message to a destination as one
+// key.
+func TestCombinerMatchesReferenceFoldProperty(t *testing.T) {
+	f := func(seed int64, workerHint uint8, hashPart, keyed bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(60)
-		m := rng.Intn(6 * n)
-		b := graph.NewBuilder(n, true)
-		for i := 0; i < m; i++ {
-			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
+		n := 2 + rng.Intn(40)
+		g := graph.NewBuilder(n, true).Finalize()
+		sends := make([][]keySend, n)
+		for u := range sends {
+			for k := rng.Intn(12); k > 0; k-- {
+				key := uint32(rng.Intn(4))
+				if key == 3 {
+					key = NoKey
+				}
+				sends[u] = append(sends[u], keySend{VertexID(rng.Intn(n)), keyMsg{key, rng.NormFloat64()}})
+			}
 		}
-		g := b.Finalize()
 		part := PartitionBlock
 		if hashPart {
 			part = PartitionHash
 		}
-		workers := 1 + int(workerHint%7)
-		run := func(c Combiner[float64]) ([]sumVal, int64, int64) {
-			e := New[sumVal, float64](g, Options{Workers: workers, Partition: part})
-			e.SetCombiner(c)
-			st, err := e.Run(sumAllProgram{rounds: 3})
-			if err != nil {
-				return nil, -1, -1
-			}
-			return e.Values(), st.MessagesSent, st.CombinedMessages
+		e := New[inboxVal, keyMsg](g, Options{Workers: 1 + int(workerHint%7), Partition: part})
+		var c Combiner[keyMsg] = keyComb{}
+		if !keyed {
+			c = CombinerFunc[keyMsg](keyComb{}.Combine)
 		}
-		v1, sent1, comb1 := run(CombinerFunc[float64](func(a, b float64) float64 { return a + b }))
-		v2, sent2, comb2 := run(constKeyCombiner{})
-		if v1 == nil || sent1 != sent2 || comb1 != comb2 {
+		e.SetCombiner(c)
+		st, err := e.Run(inboxProgram{sends: sends})
+		if err != nil {
 			return false
 		}
-		for i := range v1 {
-			if v1[i] != v2[i] {
+		// Reference: walk the senders in worker and slot order, folding
+		// each worker's sends per (destination, key) in send order.
+		want := make([][]keyMsg, n)
+		var total, envelopes int64
+		for _, w := range e.workers {
+			pos := map[[2]uint32]int{} // (to, key) -> index in want[to]
+			for slot := w.lo; slot < w.hi; slot++ {
+				u := e.vertexAt(slot)
+				if u >= n {
+					continue
+				}
+				for _, s := range sends[u] {
+					total++
+					key := s.m.Key
+					if !keyed {
+						key = 0
+					}
+					if p, ok := pos[[2]uint32{uint32(s.to), key}]; ok && key != NoKey {
+						want[s.to][p].Val += s.m.Val
+						continue
+					}
+					pos[[2]uint32{uint32(s.to), key}] = len(want[s.to])
+					want[s.to] = append(want[s.to], s.m)
+					envelopes++
+				}
+			}
+		}
+		if st.MessagesSent != total || st.CombinedMessages != envelopes {
+			return false
+		}
+		for v := range want {
+			got := e.Value(VertexID(v)).In
+			if len(got) != len(want[v]) {
 				return false
+			}
+			for i := range got {
+				if got[i].Key != want[v][i].Key || math.Float64bits(got[i].Val) != math.Float64bits(want[v][i].Val) {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -112,6 +112,7 @@ type chanMsg struct {
 type chanCombiner struct{}
 
 func (chanCombiner) Combine(a, b chanMsg) chanMsg { a.Val += b.Val; return a }
+func (chanCombiner) Keys() int                    { return 2 }
 func (chanCombiner) Key(m chanMsg) uint32         { return m.Chan }
 
 type chanProgram struct{}

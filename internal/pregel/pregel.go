@@ -56,9 +56,14 @@ func (f CombinerFunc[M]) Combine(a, b M) M { return f(a, b) }
 // to the same vertex are delivered separately.
 type KeyedCombiner[M any] interface {
 	Combiner[M]
-	// Key partitions messages: only equal-key messages are combined.
+	// Keys is the size of the dense key space, read once per run.
+	Keys() int
+	// Key returns m's key in [0, Keys()), or NoKey if m is never combined.
 	Key(m M) uint32
 }
+
+// NoKey is the Key of a message that is never combined.
+const NoKey = ^uint32(0)
 
 // Scheduler selects how workers find the vertices to run each superstep.
 type Scheduler int
@@ -155,18 +160,19 @@ type Options struct {
 	// Quarantine contains a panic raised inside a single vertex's
 	// Init/Compute to that vertex instead of aborting the run: the panic
 	// is recovered at the call site, every message the vertex sent during
-	// the panicking call is retracted (its outbox marks are rolled back,
-	// so a half-emitted broadcast cannot corrupt downstream
-	// accumulators), the vertex is removed from the computation exactly
-	// as if it had called RemoveSelf, and the superstep continues.
-	// Quarantined vertices are recorded in Stats.Quarantined /
-	// Stats.QuarantinedVertices; their values freeze (any writes the
-	// panicking call made before the panic persist, like RemoveSelf)
-	// and pending or future messages addressed to them are dropped. Panics outside a vertex program — combiners, the
-	// exchange phase, master hooks — are not attributable to one vertex
-	// and still abort the run with a *RunError. This is the resident-
-	// server posture: a poisoned vertex program must not take down a
-	// long-lived serving process (see DESIGN.md "Serving").
+	// the panicking call is retracted (outboxes and the envelopes it
+	// combined into are rolled back, so a half-emitted broadcast cannot
+	// corrupt downstream accumulators), the vertex is removed from the
+	// computation exactly as if it had called RemoveSelf, and the
+	// superstep continues. Quarantined vertices are recorded in
+	// Stats.Quarantined / Stats.QuarantinedVertices; their values freeze
+	// (any writes the panicking call made before the panic persist, like
+	// RemoveSelf) and pending or future messages addressed to them are
+	// dropped. Panics outside a vertex program — combiners, even inside
+	// Send, the exchange phase, master hooks — still abort the run with a
+	// *RunError. This is the resident-server posture: a poisoned vertex
+	// program must not take down a long-lived serving process (see
+	// DESIGN.md "Serving").
 	Quarantine bool
 }
 

@@ -2,6 +2,8 @@ package pregel
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -161,4 +163,64 @@ func TestQuarantineCombinerStillAborts(t *testing.T) {
 			t.Fatalf("err = %v, want *RunError from combiner under Quarantine", err)
 		}
 	})
+}
+
+// rollbackProgram has sender B fold into the envelope sender A opened for
+// X, open its own envelope for Y, and then panic; sender C, running after
+// B, sends to both X and Y. Vertices run in ID order on the sending worker;
+// receivers record their inboxes as in inboxProgram.
+type rollbackProgram struct{ inboxProgram }
+
+const rbA, rbB, rbC, rbX, rbY VertexID = 0, 1, 2, 3, 4
+
+// Variables, not constants: constant arithmetic is exact, and the test
+// needs the rounded float64 sum the combiner computes.
+var rbPayloadA, rbPayloadC = 0.1, 0.2
+
+func (rollbackProgram) Init(ctx *Context[inboxVal, keyMsg]) {
+	switch ctx.ID() {
+	case rbA:
+		ctx.Send(rbX, keyMsg{Val: rbPayloadA})
+	case rbB:
+		// 0.1 + 1e17 − 1e17 is 0, not 0.1: only restoring A's payload
+		// bitwise can leave X with exactly 0.1 + 0.2.
+		ctx.Send(rbX, keyMsg{Val: 1e17})
+		ctx.Send(rbY, keyMsg{Val: 5})
+		ctx.Send(rbY, keyMsg{Val: 7})
+		panic("poisoned sender")
+	case rbC:
+		ctx.Send(rbX, keyMsg{Val: rbPayloadC})
+		ctx.Send(rbY, keyMsg{Val: rbPayloadC})
+	}
+	ctx.VoteToHalt()
+}
+
+// A quarantined vertex's combines into envelopes that existed before its
+// call are undone bitwise, and the envelopes it opened are retired from
+// the combine table, so later senders keep combining correctly.
+func TestQuarantineRollsBackCombines(t *testing.T) {
+	g := graph.NewBuilder(5, true).Finalize()
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New[inboxVal, keyMsg](g, Options{Workers: workers, Quarantine: true})
+			e.SetCombiner(keyComb{})
+			stats, err := e.Run(rollbackProgram{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Quarantined != 1 || stats.QuarantinedVertices[0] != rbB {
+				t.Fatalf("quarantined = %v, want [%d]", stats.QuarantinedVertices, rbB)
+			}
+			if stats.MessagesSent != 3 || stats.CombinedMessages != 2 {
+				t.Fatalf("sent/combined = %d/%d, want 3/2", stats.MessagesSent, stats.CombinedMessages)
+			}
+			x := e.Value(rbX).In
+			if want := rbPayloadA + rbPayloadC; len(x) != 1 || math.Float64bits(x[0].Val) != math.Float64bits(want) {
+				t.Fatalf("X received %v, want one envelope of %v", x, want)
+			}
+			if y := e.Value(rbY).In; len(y) != 1 || y[0].Val != rbPayloadC {
+				t.Fatalf("Y received %v, want only C's payload", y)
+			}
+		})
+	}
 }

@@ -18,13 +18,12 @@ type RunError struct {
 	Worker int
 	// Superstep is the superstep during which the panic was raised.
 	Superstep int
-	// Phase is the barrier phase that panicked: "compute", "exchange" or
-	// "master".
+	// Phase is the phase that panicked: "compute", "combine" (a combiner
+	// called from a vertex's Send), "exchange" or "master".
 	Phase string
-	// Vertex is the vertex whose Init/Compute raised the panic; only
-	// meaningful when HasVertex is true (a compute-phase panic inside a
-	// vertex program — panics in combiners or exchange are not
-	// attributable to a single vertex).
+	// Vertex is the vertex whose Init/Compute (or Send, for "combine")
+	// raised the panic; only meaningful when HasVertex is true (exchange
+	// and master panics are not attributable to a single vertex).
 	Vertex    VertexID
 	HasVertex bool
 	// Value is the recovered panic value.

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -14,7 +15,9 @@ import (
 //	GET  /healthz            liveness ("ok")
 //	GET  /stats              operational counters + published-version info
 //	GET  /value/{v}          one vertex's value; ?field= selects the user
-//	                         field (default: the program's first)
+//	                         field (default: the program's first); a
+//	                         non-finite value is the string "+Inf",
+//	                         "-Inf" or "NaN"
 //	GET  /neighbors/{v}      out-neighbors (+weights on weighted graphs)
 //	POST /mutate             deltaio text body (add/del/set/addv lines),
 //	                         enqueued for the next repair batch
@@ -102,6 +105,20 @@ type valueReply struct {
 	Vertex graph.VertexID `json:"vertex"`
 	Field  string         `json:"field"`
 	Value  float64        `json:"value"`
+}
+
+// MarshalJSON carries a non-finite value, which JSON numbers cannot hold
+// (an SSSP distance to an unreachable vertex is +Inf), as one of the
+// strings "+Inf", "-Inf" or "NaN".
+func (r valueReply) MarshalJSON() ([]byte, error) {
+	type plain valueReply // without this method
+	if !math.IsInf(r.Value, 0) && !math.IsNaN(r.Value) {
+		return json.Marshal(plain(r))
+	}
+	return json.Marshal(struct {
+		plain
+		Value string `json:"value"` // shadows plain.Value
+	}{plain(r), strconv.FormatFloat(r.Value, 'g', -1, 64)})
 }
 
 func (s *Server) handleValue(w http.ResponseWriter, r *http.Request) {
@@ -234,12 +251,17 @@ func (s *Server) vertexArg(w http.ResponseWriter, r *http.Request, v *Version) (
 	return graph.VertexID(u), true
 }
 
+// writeJSON encodes body before writing the status line, so a body that
+// cannot be encoded becomes a structured 500 instead of a bodiless 200.
 func writeJSON(w http.ResponseWriter, code int, body any) {
+	buf, err := json.MarshalIndent(body, "", "  ")
+	if err != nil {
+		code = http.StatusInternalServerError
+		buf, _ = json.MarshalIndent(map[string]string{"error": "encoding the reply: " + err.Error()}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	_, _ = w.Write(append(buf, '\n'))
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

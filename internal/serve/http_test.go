@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -164,6 +166,47 @@ func TestHTTPErrorPaths(t *testing.T) {
 	getJSON(t, ts, "GET", "/mutate", "", http.StatusMethodNotAllowed, &e)
 	if !strings.Contains(e["error"], "not allowed") {
 		t.Fatalf("error = %q", e["error"])
+	}
+}
+
+// TestHTTPNonFiniteValue reads an SSSP vertex the source cannot reach: its
+// +Inf distance is not a JSON number, so it travels as the string "+Inf"
+// in a 200 reply with a full body, and finite reads stay numbers.
+func TestHTTPNonFiniteValue(t *testing.T) {
+	b := graph.NewBuilder(4, false)
+	b.AddWeightedEdge(0, 1, 2)
+	b.AddWeightedEdge(1, 2, 3) // vertex 3 stays unreachable
+	s, _ := ssspServer(t, Config{Graph: b.Finalize()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var got map[string]any
+	getJSON(t, ts, "GET", "/value/3?field=dist", "", http.StatusOK, &got)
+	if got["value"] != "+Inf" || got["vertex"] != float64(3) || got["epoch"] != float64(1) {
+		t.Fatalf("unreachable vertex reply = %v, want value \"+Inf\" with its metadata", got)
+	}
+	var fin valueReply
+	getJSON(t, ts, "GET", "/value/2?field=dist", "", http.StatusOK, &fin)
+	if fin.Value != 5 {
+		t.Fatalf("reachable vertex reply = %+v, want value 5", fin)
+	}
+	for _, v := range []float64{math.Inf(-1), math.NaN()} {
+		buf, err := json.Marshal(valueReply{Value: v})
+		if err != nil || !strings.Contains(string(buf), strconv.Quote(strconv.FormatFloat(v, 'g', -1, 64))) {
+			t.Fatalf("marshal %v = %s, %v", v, buf, err)
+		}
+	}
+}
+
+// A reply body that cannot be encoded is a structured 500, never a 200
+// with an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	var e map[string]string
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil ||
+		!strings.Contains(e["error"], "encoding the reply") {
+		t.Fatalf("reply = %d %q, want a JSON 500", rec.Code, rec.Body.String())
 	}
 }
 

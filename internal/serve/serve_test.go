@@ -304,6 +304,12 @@ func TestServeRepairOnAddedVertices(t *testing.T) {
 func TestServeEnqueueBounds(t *testing.T) {
 	s, _ := ssspServer(t, Config{MaxPending: 3})
 	one := []graph.Mutation{{Op: graph.MutAddEdge, U: 0, V: 7, W: 1}}
+	// Filling the log wakes the background flusher (MaxBatch is clamped
+	// to MaxPending); holding the repair lock keeps it from draining the
+	// log while the bounds are checked.
+	s.repairMu.Lock()
+	release := sync.OnceFunc(s.repairMu.Unlock)
+	defer release()
 	for i := 0; i < 3; i++ {
 		if _, err := s.Enqueue(one); err != nil {
 			t.Fatal(err)
@@ -318,6 +324,7 @@ func TestServeEnqueueBounds(t *testing.T) {
 	if st := s.Stats(); st.MutationsRejected != 1 || st.MutationsAccepted != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
+	release()
 	if _, err := s.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
