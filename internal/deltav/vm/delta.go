@@ -61,9 +61,9 @@ type DeltaRunOptions struct {
 var ErrRepairBudget = errors.New("repair superstep budget exceeded")
 
 // repairSend is one precomputed repair message.
-type repairSend struct {
+type repairSend[S Slots] struct {
 	dest graph.VertexID
-	msg  Msg
+	msg  Msg[S]
 }
 
 // tableSurgery deletes a memo-table entry whose last arc disappeared.
@@ -74,8 +74,8 @@ type tableSurgery struct {
 }
 
 // repairPlan is everything the modeRepair superstep executes.
-type repairPlan struct {
-	sends      map[graph.VertexID][]repairSend
+type repairPlan[S Slots] struct {
+	sends      map[graph.VertexID][]repairSend[S]
 	keepActive map[graph.VertexID]bool
 	surgery    []tableSurgery
 	frontier   []graph.VertexID
@@ -130,34 +130,45 @@ func (m *Machine) RunDeltaContext(ctx context.Context, opts DeltaRunOptions) (*R
 	// coherent baseline. The sends themselves come from the plan — every
 	// arc of a new vertex is an ArcAdd in the diff.
 	m.initNewVertices(opts.Snapshot.NumVertices, gl.Phase)
-	plan, err := m.planRepair(opts.Changes)
+	if m.wide() {
+		return runner[[MaxSlots]float64]{m: m}.runDelta(ctx, opts, gl)
+	}
+	return runner[[1]float64]{m: m}.runDelta(ctx, opts, gl)
+}
+
+// runDelta plans the repair at message width S and runs it from the
+// warm-started engine.
+func (r runner[S]) runDelta(ctx context.Context, opts DeltaRunOptions, gl *globals) (*Result, error) {
+	m := r.m
+	plan, err := planRepair[S](m, opts.Changes)
 	if err != nil {
 		return nil, err
 	}
 	for _, sg := range plan.surgery {
 		delete(m.tables[sg.site][sg.dest], sg.sender)
 	}
-	m.repair = plan
+	r.repair = plan
 	warm := &pregel.WarmStartOptions{
 		Snapshot:          opts.Snapshot,
 		ExpectFingerprint: opts.Changes.OldFingerprint,
 		Activate:          plan.frontier,
 		AllowGrowth:       opts.Changes.NewVertices > 0,
 	}
-	return m.execute(ctx, opts.RunOptions, warm, &globals{Phase: gl.Phase, Mode: modeRepair, Iter: 1})
+	return r.execute(ctx, opts.RunOptions, warm, &globals{Phase: gl.Phase, Mode: modeRepair, Iter: 1})
 }
 
 // initNewVertices seeds the vertices in [oldN, n): default field values,
 // the init{} body, and the same most-recently-sent bookkeeping primeGroup
 // records after a full prime — minus the sends, which the repair plan
-// synthesizes from the new vertices' (all-added) arcs instead.
+// synthesizes from the new vertices' (all-added) arcs instead. It sends
+// nothing, so its evaluator runs at the single-slot width.
 func (m *Machine) initNewVertices(oldN, phase int) {
 	n := m.g.NumVertices()
 	if oldN >= n {
 		return
 	}
-	ev := &evaluator{m: m}
-	ev.lets = make([]float64, m.prog.MaxLetDepth)
+	var lets [letsOnStack]float64
+	ev := &evaluator[[1]float64]{m: m, lets: m.lets(lets[:])}
 	for u := oldN; u < n; u++ {
 		ev.u, ev.base = graph.VertexID(u), u*m.stride
 		for i, f := range m.prog.Layout.Fields {
@@ -169,8 +180,7 @@ func (m *Machine) initNewVertices(oldN, phase int) {
 			if g.DirtySlot >= 0 {
 				m.state[ev.base+g.DirtySlot] = 0
 			}
-			for _, sid := range g.Sites {
-				s := m.prog.Sites[sid]
+			for _, s := range m.groupSites[gid] {
 				for i, fslot := range s.Fields {
 					if s.OldSlots != nil {
 						m.state[ev.base+s.OldSlots[i]] = m.state[ev.base+fslot]
@@ -256,9 +266,9 @@ type pushArc struct {
 // planRepair builds the per-vertex repair sends, the memo-table surgery
 // list, and the warm-start frontier for the applied delta. It runs after
 // restoreExtra, so slot expressions evaluate against the converged state.
-func (m *Machine) planRepair(ch *graph.AppliedDelta) (*repairPlan, error) {
-	plan := &repairPlan{
-		sends:      make(map[graph.VertexID][]repairSend),
+func planRepair[S Slots](m *Machine, ch *graph.AppliedDelta) (*repairPlan[S], error) {
+	plan := &repairPlan[S]{
+		sends:      make(map[graph.VertexID][]repairSend[S]),
 		keepActive: make(map[graph.VertexID]bool),
 	}
 	// Per-vertex degree changes (new minus old), for evaluating
@@ -275,11 +285,11 @@ func (m *Machine) planRepair(ch *graph.AppliedDelta) (*repairPlan, error) {
 			inDelta[a.V]--
 		}
 	}
-	ev := &evaluator{m: m}
-	ev.lets = make([]float64, m.prog.MaxLetDepth)
+	var lets [letsOnStack]float64
+	ev := &evaluator[S]{m: m, lets: m.lets(lets[:])}
 	clamped := core.SelfFoldingFields(m.prog.Phases[0].Body, m.prog.Layout.UserFields)
 	for _, gid := range m.prog.Phases[0].Groups {
-		if err := m.planGroup(plan, ev, m.prog.Groups[gid], ch, inDelta, outDelta, clamped); err != nil {
+		if err := plan.group(ev, m.prog.Groups[gid], ch, inDelta, outDelta, clamped); err != nil {
 			return nil, err
 		}
 	}
@@ -323,14 +333,14 @@ func (m *Machine) planRepair(ch *graph.AppliedDelta) (*repairPlan, error) {
 	return plan, nil
 }
 
-// planGroup plans one send group's repair. clamped names the body's
+// group plans one send group's repair. clamped names the body's
 // self-folding fields (empty for pure-function bodies).
-func (m *Machine) planGroup(plan *repairPlan, ev *evaluator, g *core.SendGroup, ch *graph.AppliedDelta, inDelta, outDelta map[graph.VertexID]int, clamped []string) error {
-	sites := make([]*core.AggSite, len(g.Sites))
+func (plan *repairPlan[S]) group(ev *evaluator[S], g *core.SendGroup, ch *graph.AppliedDelta, inDelta, outDelta map[graph.VertexID]int, clamped []string) error {
+	m := ev.m
+	sites := m.groupSites[g.ID]
 	readsIn, readsOut := false, false
-	for i, sid := range g.Sites {
-		sites[i] = m.prog.Sites[sid]
-		ri, ro, _ := core.SlotTopology(sites[i].SlotExpr)
+	for _, s := range sites {
+		ri, ro, _ := core.SlotTopology(s.SlotExpr)
 		readsIn = readsIn || ri
 		readsOut = readsOut || ro
 	}
@@ -378,22 +388,21 @@ func (m *Machine) planGroup(plan *repairPlan, ev *evaluator, g *core.SendGroup, 
 	}
 	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
 
-	usesW := m.groupUsesWeight(g.ID)
 	for _, s := range senders {
 		ev.u, ev.base = s, int(s)*m.stride
-		if err := m.checkClampedLoosening(ev, sites, perSender[s], resweep[s], clamped); err != nil {
+		if err := ev.checkClampedLoosening(sites, perSender[s], resweep[s], clamped); err != nil {
 			return err
 		}
-		cur := m.pushArcs(ev, g.PushDir)
+		cur := ev.pushArcs(g.PushDir)
 		if g.Strategy == core.StrategyTable {
-			m.planTableSender(plan, ev, g, sites, cur, sortedDests(perSender[s]), resweep[s])
+			plan.tableSender(ev, g, cur, sortedDests(perSender[s]), resweep[s])
 			continue
 		}
 		var err error
 		if resweep[s] {
-			err = m.planResweep(plan, ev, g, sites, cur, perSender[s], inDelta, outDelta)
+			err = plan.resweep(ev, g, cur, perSender[s], inDelta, outDelta)
 		} else {
-			err = m.planChangedArcs(plan, ev, g, sites, sortedDests(perSender[s]), perSender[s], usesW)
+			err = plan.changedArcs(ev, g, sortedDests(perSender[s]), perSender[s])
 		}
 		if err != nil {
 			return err
@@ -403,7 +412,7 @@ func (m *Machine) planGroup(plan *repairPlan, ev *evaluator, g *core.SendGroup, 
 }
 
 // pushArcs lists the sender's current push-side arcs in destination order.
-func (m *Machine) pushArcs(ev *evaluator, dir ast.GraphDir) []pushArc {
+func (ev *evaluator[S]) pushArcs(dir ast.GraphDir) []pushArc {
 	var out []pushArc
 	ev.forPushEdges(dir, func(dest graph.VertexID, w float64) {
 		out = append(out, pushArc{dest, w})
@@ -435,11 +444,11 @@ func (m *Machine) oldDegrees(u graph.VertexID, inDelta, outDelta map[graph.Verte
 // repairSlotVal evaluates one site's slot expression for the planner:
 // with the arc's weight, optionally against the pre-mutation degrees, and
 // optionally against the $old fields (what receivers last heard).
-func (m *Machine) repairSlotVal(ev *evaluator, s *core.AggSite, w float64, old *vertexDegrees) float64 {
+func (ev *evaluator[S]) repairSlotVal(s *core.AggSite, w float64, old *vertexDegrees) float64 {
 	ev.curWeight = w
 	ev.degOverride = old
 	if old != nil {
-		ev.redirect = m.redirectFor(s)
+		ev.redirect = ev.m.redirects[s.ID]
 	}
 	v := ev.eval(s.SlotExpr)
 	ev.redirect = nil
@@ -447,23 +456,25 @@ func (m *Machine) repairSlotVal(ev *evaluator, s *core.AggSite, w float64, old *
 	return v
 }
 
-// emitRepair builds and records one repair message for an arc whose
+// emit builds and records one repair message for an arc whose
 // contribution moves from oldArc (nil: the arc did not exist) to newArc
 // (nil: the arc no longer exists). oldDeg carries the pre-mutation degrees
 // for old-side evaluation; nil means the degrees did not change.
-func (m *Machine) emitRepair(plan *repairPlan, ev *evaluator, g *core.SendGroup, sites []*core.AggSite, dest graph.VertexID, oldArc, newArc *pushArc, oldDeg *vertexDegrees) error {
+func (plan *repairPlan[S]) emit(ev *evaluator[S], g *core.SendGroup, dest graph.VertexID, oldArc, newArc *pushArc, oldDeg *vertexDegrees) error {
+	m := ev.m
 	if oldDeg == nil {
 		oldDeg = &vertexDegrees{in: m.degreeOf(ev.u, true), out: m.degreeOf(ev.u, false)}
 	}
-	msg := Msg{Group: uint8(g.ID), NVals: uint8(len(sites)), Sender: ev.u}
+	sites := m.groupSites[g.ID]
+	msg := Msg[S]{MsgHeader: MsgHeader{Group: uint8(g.ID), NVals: uint8(len(sites))}, Sender: ev.u}
 	noop := true
 	for i, s := range sites {
 		var oldV, newV float64
 		if oldArc != nil {
-			oldV = m.repairSlotVal(ev, s, oldArc.w, oldDeg)
+			oldV = ev.repairSlotVal(s, oldArc.w, oldDeg)
 		}
 		if newArc != nil {
-			newV = m.repairSlotVal(ev, s, newArc.w, nil)
+			newV = ev.repairSlotVal(s, newArc.w, nil)
 		}
 		val, tagNull, tagPrev, slotNoop, err := repairSlot(s, oldV, oldArc != nil, newV, newArc != nil)
 		if err != nil {
@@ -481,7 +492,7 @@ func (m *Machine) emitRepair(plan *repairPlan, ev *evaluator, g *core.SendGroup,
 		}
 	}
 	if !noop {
-		plan.sends[ev.u] = append(plan.sends[ev.u], repairSend{dest: dest, msg: msg})
+		plan.sends[ev.u] = append(plan.sends[ev.u], repairSend[S]{dest: dest, msg: msg})
 	}
 	return nil
 }
@@ -501,7 +512,7 @@ func (m *Machine) degreeOf(u graph.VertexID, in bool) int {
 // pinning a fixpoint no from-scratch run reaches. For clamped programs
 // only transitions whose new contribution subsumes the old one — provable
 // tightenings — are admitted; everything else reruns from scratch.
-func (m *Machine) checkClampedLoosening(ev *evaluator, sites []*core.AggSite, pd map[graph.VertexID][]graph.ArcChange, resweep bool, clamped []string) error {
+func (ev *evaluator[S]) checkClampedLoosening(sites []*core.AggSite, pd map[graph.VertexID][]graph.ArcChange, resweep bool, clamped []string) error {
 	if len(clamped) == 0 {
 		return nil
 	}
@@ -516,10 +527,10 @@ func (m *Machine) checkClampedLoosening(ev *evaluator, sites []*core.AggSite, pd
 				oldPresent := a.Kind != graph.ArcAdd
 				newPresent := a.Kind != graph.ArcRemove
 				if oldPresent {
-					oldV = m.repairSlotVal(ev, s, a.OldW, nil)
+					oldV = ev.repairSlotVal(s, a.OldW, nil)
 				}
 				if newPresent {
-					newV = m.repairSlotVal(ev, s, a.NewW, nil)
+					newV = ev.repairSlotVal(s, a.NewW, nil)
 				}
 				if !core.ClampSafe(s.Op, oldV, oldPresent, newV, newPresent) {
 					return fmt.Errorf("vm: mutated arc %d->%d loosens a %s contribution, and the body folds field %q with its own previous value; the clamp would pin the stale fixpoint — rerun from scratch",
@@ -531,22 +542,22 @@ func (m *Machine) checkClampedLoosening(ev *evaluator, sites []*core.AggSite, pd
 	return nil
 }
 
-// planChangedArcs handles a sender whose contributions are
+// changedArcs handles a sender whose contributions are
 // topology-independent: only the mutated arcs themselves need repair.
-func (m *Machine) planChangedArcs(plan *repairPlan, ev *evaluator, g *core.SendGroup, sites []*core.AggSite, dests []graph.VertexID, pd map[graph.VertexID][]graph.ArcChange, usesW bool) error {
+func (plan *repairPlan[S]) changedArcs(ev *evaluator[S], g *core.SendGroup, dests []graph.VertexID, pd map[graph.VertexID][]graph.ArcChange) error {
 	for _, dest := range dests {
 		for _, a := range pd[dest] {
 			var err error
 			switch a.Kind {
 			case graph.ArcAdd:
-				err = m.emitRepair(plan, ev, g, sites, dest, nil, &pushArc{dest, a.NewW}, nil)
+				err = plan.emit(ev, g, dest, nil, &pushArc{dest, a.NewW}, nil)
 			case graph.ArcRemove:
-				err = m.emitRepair(plan, ev, g, sites, dest, &pushArc{dest, a.OldW}, nil, nil)
+				err = plan.emit(ev, g, dest, &pushArc{dest, a.OldW}, nil, nil)
 			case graph.ArcReweight:
-				if !usesW {
+				if !ev.m.usesWeight[g.ID] {
 					continue // no site reads the weight: nothing changed
 				}
-				err = m.emitRepair(plan, ev, g, sites, dest, &pushArc{dest, a.OldW}, &pushArc{dest, a.NewW}, nil)
+				err = plan.emit(ev, g, dest, &pushArc{dest, a.OldW}, &pushArc{dest, a.NewW}, nil)
 			}
 			if err != nil {
 				return err
@@ -556,11 +567,11 @@ func (m *Machine) planChangedArcs(plan *repairPlan, ev *evaluator, g *core.SendG
 	return nil
 }
 
-// planResweep handles a sender whose read degree changed: every incident
+// resweep handles a sender whose read degree changed: every incident
 // arc's contribution moved, so the old adjacency is reconstructed from the
 // diff and diffed arc-by-arc against the current one.
-func (m *Machine) planResweep(plan *repairPlan, ev *evaluator, g *core.SendGroup, sites []*core.AggSite, cur []pushArc, pd map[graph.VertexID][]graph.ArcChange, inDelta, outDelta map[graph.VertexID]int) error {
-	oldDeg := m.oldDegrees(ev.u, inDelta, outDelta)
+func (plan *repairPlan[S]) resweep(ev *evaluator[S], g *core.SendGroup, cur []pushArc, pd map[graph.VertexID][]graph.ArcChange, inDelta, outDelta map[graph.VertexID]int) error {
+	oldDeg := ev.m.oldDegrees(ev.u, inDelta, outDelta)
 	old := append([]pushArc(nil), cur...)
 	for _, dest := range sortedDests(pd) {
 		for _, a := range pd[dest] {
@@ -591,13 +602,13 @@ func (m *Machine) planResweep(plan *repairPlan, ev *evaluator, g *core.SendGroup
 		var err error
 		switch {
 		case j >= len(cur) || (i < len(old) && old[i].dest < cur[j].dest):
-			err = m.emitRepair(plan, ev, g, sites, old[i].dest, &old[i], nil, oldDeg)
+			err = plan.emit(ev, g, old[i].dest, &old[i], nil, oldDeg)
 			i++
 		case i >= len(old) || cur[j].dest < old[i].dest:
-			err = m.emitRepair(plan, ev, g, sites, cur[j].dest, nil, &cur[j], oldDeg)
+			err = plan.emit(ev, g, cur[j].dest, nil, &cur[j], oldDeg)
 			j++
 		default:
-			err = m.emitRepair(plan, ev, g, sites, old[i].dest, &old[i], &cur[j], oldDeg)
+			err = plan.emit(ev, g, old[i].dest, &old[i], &cur[j], oldDeg)
 			i++
 			j++
 		}
@@ -617,18 +628,19 @@ func findArc(arcs []pushArc, dest graph.VertexID, w float64) int {
 	return -1
 }
 
-// planTableSender repairs the §4.2.1 per-neighbour tables: stale pairs are
+// tableSender repairs the §4.2.1 per-neighbour tables: stale pairs are
 // re-sent over every surviving arc (the receiver's table update replaces
 // the entry, merging parallel arcs with ⊞), and pairs whose last arc
 // disappeared are queued for direct surgery with the receiver kept active
 // so its next refold sees the deletion.
-func (m *Machine) planTableSender(plan *repairPlan, ev *evaluator, g *core.SendGroup, sites []*core.AggSite, cur []pushArc, changedDests []graph.VertexID, resweep bool) {
+func (plan *repairPlan[S]) tableSender(ev *evaluator[S], g *core.SendGroup, cur []pushArc, changedDests []graph.VertexID, resweep bool) {
+	sites := ev.m.groupSites[g.ID]
 	emitFull := func(a pushArc) {
-		msg := Msg{Group: uint8(g.ID), NVals: uint8(len(sites)), Sender: ev.u}
+		msg := Msg[S]{MsgHeader: MsgHeader{Group: uint8(g.ID), NVals: uint8(len(sites))}, Sender: ev.u}
 		for i, s := range sites {
-			msg.Vals[i] = m.repairSlotVal(ev, s, a.w, nil)
+			msg.Vals[i] = ev.repairSlotVal(s, a.w, nil)
 		}
-		plan.sends[ev.u] = append(plan.sends[ev.u], repairSend{dest: a.dest, msg: msg})
+		plan.sends[ev.u] = append(plan.sends[ev.u], repairSend[S]{dest: a.dest, msg: msg})
 	}
 	surgery := func(dest graph.VertexID) {
 		for _, sid := range g.Sites {

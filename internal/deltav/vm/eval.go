@@ -3,7 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/deltav/ast"
@@ -15,32 +15,33 @@ import (
 // evaluator interprets resolved ΔV expressions for one vertex during one
 // superstep. All values are float64-encoded: bools are 0/1 and ints are
 // integral floats (exact up to 2^53).
-type evaluator struct {
+type evaluator[S Slots] struct {
 	m    *Machine
-	ctx  *pregel.Context[VState, Msg]
+	ctx  *pregel.Context[VState, Msg[S]]
 	u    graph.VertexID
 	base int
 
+	// lets is the let stack, usually in the caller's frame. No method
+	// stores a pointer it read from the evaluator back into it (cur is an
+	// index, tableFold's sort scratch is local): escape analysis would then
+	// move lets to the heap.
 	lets []float64
-	msgs []Msg
-	cur  *Msg
+	msgs []Msg[S]
+	cur  int // index in msgs of the message a MsgLoop body reads
 	iter int
 
 	curWeight float64
 	curDest   graph.VertexID
 
-	// redirect, when non-nil, remaps field slots during evaluation; used
-	// to recompute a slot expression against the $old fields for Δ
-	// synthesis (Eq. 11).
-	redirect map[int]int
+	// redirect, when non-nil, remaps field slots during evaluation (one of
+	// Machine.redirects); used to recompute a slot expression against the
+	// $old fields for Δ synthesis (Eq. 11).
+	redirect []int
 
 	// degOverride, when non-nil, substitutes the vertex's degrees during
 	// Cardinality evaluation. The repair planner uses it to evaluate
 	// pre-mutation contributions against the mutated graph's CSR.
 	degOverride *vertexDegrees
-
-	// foldKeys is tableFold's reusable sender-sort scratch.
-	foldKeys []graph.VertexID
 
 	changed bool
 }
@@ -50,18 +51,16 @@ type vertexDegrees struct {
 	in, out int
 }
 
-func (ev *evaluator) field(slot int) float64 {
+func (ev *evaluator[S]) field(slot int) float64 {
 	if ev.redirect != nil {
-		if o, ok := ev.redirect[slot]; ok {
-			slot = o
-		}
+		slot = ev.redirect[slot]
 	}
 	return ev.m.state[ev.base+slot]
 }
 
 // eval evaluates e and returns its float64-encoded value (0 for
 // unit-typed statements).
-func (ev *evaluator) eval(e ast.Expr) float64 {
+func (ev *evaluator[S]) eval(e ast.Expr) float64 {
 	switch n := e.(type) {
 	case *ast.IntLit:
 		return float64(n.Val)
@@ -184,7 +183,7 @@ func (ev *evaluator) eval(e ast.Expr) float64 {
 		// Broadcast fast path (the runtime side of the Eq. 7 lift): when
 		// the loop body is a send whose payload does not read the edge
 		// weight, the message is identical on every edge — build it once.
-		if send, ok := n.Body.(*ast.Send); ok && !ev.m.groupUsesWeight(send.Group) {
+		if send, ok := n.Body.(*ast.Send); ok && !ev.m.usesWeight[send.Group] {
 			ev.curWeight = 1
 			if msg, sendIt := ev.buildMsg(send); sendIt {
 				ev.forPushEdges(n.G, func(dest graph.VertexID, _ float64) {
@@ -206,17 +205,17 @@ func (ev *evaluator) eval(e ast.Expr) float64 {
 			if int(ev.msgs[i].Group) != n.Group {
 				continue
 			}
-			ev.cur = &ev.msgs[i]
+			ev.cur = i
 			ev.eval(n.Body)
 		}
-		ev.cur = nil
+		ev.cur = -1
 		return 0
 	case *ast.MsgSlot:
-		return ev.cur.Vals[ev.m.prog.Sites[n.Site].SlotInGroup]
+		return ev.msgs[ev.cur].Vals[ev.m.prog.Sites[n.Site].SlotInGroup]
 	case *ast.MsgIsNull:
-		return boolTo01(ev.cur.TagNull&(1<<ev.m.prog.Sites[n.Site].SlotInGroup) != 0)
+		return boolTo01(ev.msgs[ev.cur].TagNull&(1<<ev.m.prog.Sites[n.Site].SlotInGroup) != 0)
 	case *ast.MsgPrevNull:
-		return boolTo01(ev.cur.TagPrev&(1<<ev.m.prog.Sites[n.Site].SlotInGroup) != 0)
+		return boolTo01(ev.msgs[ev.cur].TagPrev&(1<<ev.m.prog.Sites[n.Site].SlotInGroup) != 0)
 	case *ast.TableUpdate:
 		ev.tableUpdate(n.Group)
 		return 0
@@ -232,7 +231,7 @@ func (ev *evaluator) eval(e ast.Expr) float64 {
 }
 
 // degree is the receiver-perspective count |g|.
-func (ev *evaluator) degree(g ast.GraphDir) int {
+func (ev *evaluator[S]) degree(g ast.GraphDir) int {
 	if d := ev.degOverride; d != nil {
 		if g == ast.DirIn {
 			return d.in
@@ -251,7 +250,7 @@ func (ev *evaluator) degree(g ast.GraphDir) int {
 
 // forPushEdges iterates the sender-perspective edges of a push direction,
 // yielding each destination and edge weight.
-func (ev *evaluator) forPushEdges(dir ast.GraphDir, fn func(dest graph.VertexID, w float64)) {
+func (ev *evaluator[S]) forPushEdges(dir ast.GraphDir, fn func(dest graph.VertexID, w float64)) {
 	g := ev.m.g
 	var it graph.ArcIter
 	switch dir {
@@ -268,7 +267,7 @@ func (ev *evaluator) forPushEdges(dir ast.GraphDir, fn func(dest graph.VertexID,
 
 // send assembles and emits one message for the current edge (set by the
 // enclosing ForNeighbors).
-func (ev *evaluator) send(n *ast.Send) {
+func (ev *evaluator[S]) send(n *ast.Send) {
 	if msg, sendIt := ev.buildMsg(n); sendIt {
 		ev.ctx.Send(ev.curDest, msg)
 	}
@@ -277,9 +276,8 @@ func (ev *evaluator) send(n *ast.Send) {
 // buildMsg assembles a message from a Send node's payload; the second
 // result is false when every slot is a no-op Δ (the message would not be
 // meaningful).
-func (ev *evaluator) buildMsg(n *ast.Send) (Msg, bool) {
-	g := ev.m.prog.Groups[n.Group]
-	msg := Msg{Group: uint8(g.ID), NVals: uint8(len(n.Payload)), Sender: ev.u}
+func (ev *evaluator[S]) buildMsg(n *ast.Send) (Msg[S], bool) {
+	msg := Msg[S]{MsgHeader: MsgHeader{Group: uint8(n.Group), NVals: uint8(len(n.Payload))}, Sender: ev.u}
 	noop := true
 	for i, p := range n.Payload {
 		if d, ok := p.(*ast.Delta); ok {
@@ -302,23 +300,13 @@ func (ev *evaluator) buildMsg(n *ast.Send) (Msg, bool) {
 	return msg, !noop
 }
 
-// groupUsesWeight reports whether any site of the group reads ew.
-func (m *Machine) groupUsesWeight(group int) bool {
-	for _, sid := range m.prog.Groups[group].Sites {
-		if m.prog.Sites[sid].UsesWeight {
-			return true
-		}
-	}
-	return false
-}
-
 // delta synthesizes the Δ-message value for one slot (P5, Eq. 11): the
 // value v such that acc ⊞ new ≃ (acc ⊞ old) ⊞ v, with the §6.4.1 nullary
 // tags for multiplicative operators.
-func (ev *evaluator) delta(d *ast.Delta) (val float64, isNull, prevNull, noop bool) {
+func (ev *evaluator[S]) delta(d *ast.Delta) (val float64, isNull, prevNull, noop bool) {
 	s := ev.m.prog.Sites[d.Site]
 	newV := ev.eval(d.X)
-	ev.redirect = ev.m.redirectFor(s)
+	ev.redirect = ev.m.redirects[s.ID]
 	oldV := ev.eval(d.X)
 	ev.redirect = nil
 	if newV == oldV {
@@ -358,11 +346,6 @@ func (ev *evaluator) delta(d *ast.Delta) (val float64, isNull, prevNull, noop bo
 	panic("vm: delta for unknown operator")
 }
 
-// redirectFor returns the precomputed field→old-field remapping of a site.
-func (m *Machine) redirectFor(s *core.AggSite) map[int]int {
-	return m.redirects[s.ID]
-}
-
 // tableUpdate implements the §4.2.1 receive path: record each sender's
 // latest contribution in the per-neighbour lookup tables of the group's
 // sites. A sender with parallel edges to this vertex sends one message per
@@ -370,7 +353,7 @@ func (m *Machine) redirectFor(s *core.AggSite) map[int]int {
 // exactly the sender's total contribution for any commutative-associative
 // operator. A fresh superstep's value replaces the cached one (the cache
 // update of Fig. 2b).
-func (ev *evaluator) tableUpdate(group int) {
+func (ev *evaluator[S]) tableUpdate(group int) {
 	g := ev.m.prog.Groups[group]
 	var replaced map[graph.VertexID]bool
 	for _, sid := range g.Sites {
@@ -407,15 +390,14 @@ func (ev *evaluator) tableUpdate(group int) {
 // iteration order — so non-associative float accumulation yields the same
 // bits on every run and memo-table results stay comparable bitwise against
 // the other modes' deterministic schedules.
-func (ev *evaluator) tableFold(site int) float64 {
+func (ev *evaluator[S]) tableFold(site int) float64 {
 	s := ev.m.prog.Sites[site]
 	tbl := ev.m.tables[site][ev.u]
-	keys := ev.foldKeys[:0]
+	keys := make([]graph.VertexID, 0, len(tbl))
 	for sender := range tbl { //lint:allow maprange — senders sorted below before folding
 		keys = append(keys, sender)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	ev.foldKeys = keys
+	slices.Sort(keys)
 	acc := core.Identity(s.Op)
 	for _, sender := range keys {
 		acc = core.Apply(s.Op, acc, tbl[sender])

@@ -77,7 +77,7 @@ func (m *Machine) masterHook(mc *pregel.MasterContext) {
 			m.failf(mc, "phase %d: computation quiesced but until{} can never hold", gl.Phase)
 			return
 		}
-		if m.repair != nil && m.repairBudget > 0 && m.iterations[gl.Phase] >= m.repairBudget {
+		if m.repairBudget > 0 && m.iterations[gl.Phase] >= m.repairBudget {
 			// The repair wave is past break-even: each additional superstep
 			// costs what a from-scratch superstep costs, and the budget says
 			// a rerun is now cheaper. Abort with the sentinel so callers
@@ -201,19 +201,19 @@ func (m *Machine) evalMaster(e ast.Expr, iter int, fixpoint bool) float64 {
 	panic(fmt.Sprintf("vm: until{} contains unsupported form %T", e))
 }
 
-// combiner builds the sender-side combiner for the program, or nil when no
-// group is combinable. Messages of a combinable group (single-strategy,
-// non-multiplicative slots, no sender identity) combine slot-wise with
-// their sites' operators under the group's key; all other messages carry
-// pregel.NoKey and pass through untouched.
-func (m *Machine) combiner() pregel.Combiner[Msg] {
+// combineOps returns the slot operators of the program's sender-side
+// combiner (see vmCombiner), or nil when no group is combinable. Messages
+// of a combinable group (single-strategy, non-multiplicative slots, no
+// sender identity) combine slot-wise with their sites' operators under the
+// group's key; all other messages carry pregel.NoKey and pass through
+// untouched.
+func (m *Machine) combineOps() [][]ast.AggOp {
 	ops := make([][]ast.AggOp, len(m.prog.Groups))
 	any := false
 	for _, g := range m.prog.Groups {
 		ok := g.Strategy != core.StrategyTable
 		gops := make([]ast.AggOp, len(g.Sites)) // non-nil even with no sites
-		for i, sid := range g.Sites {
-			s := m.prog.Sites[sid]
+		for i, s := range m.groupSites[g.ID] {
 			if s.Multiplicative() {
 				ok = false // nullary tags are not mergeable
 			}
@@ -227,21 +227,21 @@ func (m *Machine) combiner() pregel.Combiner[Msg] {
 	if !any {
 		return nil
 	}
-	return &vmCombiner{ops: ops}
+	return ops
 }
 
 // vmCombiner is the VM's pregel.KeyedCombiner: ops[g] lists the ⊞ of each
 // slot of send group g, or is nil when g is not combinable.
-type vmCombiner struct {
+type vmCombiner[S Slots] struct {
 	ops [][]ast.AggOp
 }
 
 // Keys implements pregel.KeyedCombiner: one key per send group.
-func (c *vmCombiner) Keys() int { return len(c.ops) }
+func (c *vmCombiner[S]) Keys() int { return len(c.ops) }
 
 // Key implements pregel.KeyedCombiner: a combinable group's messages share
 // the group id; everything else is never combined.
-func (c *vmCombiner) Key(msg Msg) uint32 {
+func (c *vmCombiner[S]) Key(msg Msg[S]) uint32 {
 	if c.ops[msg.Group] != nil {
 		return uint32(msg.Group)
 	}
@@ -249,7 +249,7 @@ func (c *vmCombiner) Key(msg Msg) uint32 {
 }
 
 // Combine merges two same-group messages slot-wise with each slot's ⊞.
-func (c *vmCombiner) Combine(a, b Msg) Msg {
+func (c *vmCombiner[S]) Combine(a, b Msg[S]) Msg[S] {
 	for i, op := range c.ops[a.Group] {
 		a.Vals[i] = core.Apply(op, a.Vals[i], b.Vals[i])
 	}

@@ -21,6 +21,13 @@ import (
 // a fresh unix-socket mesh, returning each shard's Result.
 func runCorpusSharded2(t *testing.T, name string, mode core.Mode, g *graph.Graph, base RunOptions) [2]*Result {
 	t.Helper()
+	return runSharded2(t, func() *core.Program { return compileT(t, name, mode) }, g, base)
+}
+
+// runSharded2 runs a program, compiled afresh for each shard, on both
+// shards of a fresh unix-socket mesh, returning each shard's Result.
+func runSharded2(t *testing.T, compile func() *core.Program, g *graph.Graph, base RunOptions) [2]*Result {
+	t.Helper()
 	dir := t.TempDir()
 	addrs := []string{
 		"unix:" + filepath.Join(dir, "s0.sock"),
@@ -44,7 +51,7 @@ func runCorpusSharded2(t *testing.T, name string, mode core.Mode, g *graph.Graph
 			defer tr.Close()
 			opts := base
 			opts.Shard = &pregel.ShardOptions{Index: i, Count: 2, Transport: tr}
-			out[i], errs[i] = Run(compileT(t, name, mode), g, opts)
+			out[i], errs[i] = Run(compile(), g, opts)
 		}(i)
 	}
 	wg.Wait()

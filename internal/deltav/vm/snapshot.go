@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -28,35 +30,46 @@ func (vstateCodec) AppendValue(dst []byte, _ VState) []byte { return dst }
 
 func (vstateCodec) DecodeValue(src []byte) (VState, []byte, error) { return VState{}, src, nil }
 
-// msgCodec is the portable codec for in-flight ΔV messages: fixed 40-byte
-// little-endian layout, no struct padding.
-type msgCodec struct{}
+// msgCodec is the portable codec for in-flight ΔV messages, used for
+// snapshots, checkpoints and sharded wire frames alike. Every width
+// encodes to the same fixed 40-byte little-endian layout, no struct
+// padding: group, NVals and the two tag bytes, the sender id, then
+// MaxSlots values, zero past the message's width. Decoding at a width
+// rejects a nonzero byte past it, so a snapshot decodes only at a width
+// that holds every value it carries.
+type msgCodec[S Slots] struct{}
 
-func (msgCodec) AppendValue(dst []byte, m Msg) []byte {
+// msgWireBytes is the encoded size of one message at any width.
+const msgWireBytes = 8 + 8*MaxSlots
+
+func (msgCodec[S]) AppendValue(dst []byte, m Msg[S]) []byte {
 	dst = append(dst, m.Group, m.NVals, m.TagNull, m.TagPrev)
 	dst = append(dst, byte(m.Sender), byte(m.Sender>>8), byte(m.Sender>>16), byte(m.Sender>>24))
-	for _, v := range m.Vals {
-		dst = pregel.AppendFloat64(dst, v)
+	for i := 0; i < len(m.Vals); i++ {
+		dst = pregel.AppendFloat64(dst, m.Vals[i])
 	}
-	return dst
+	var zero [8 * MaxSlots]byte
+	return append(dst, zero[8*len(m.Vals):]...)
 }
 
-func (msgCodec) DecodeValue(src []byte) (Msg, []byte, error) {
-	var m Msg
-	if len(src) < 8+8*MaxSlots {
+func (msgCodec[S]) DecodeValue(src []byte) (Msg[S], []byte, error) {
+	var m Msg[S]
+	if len(src) < msgWireBytes {
 		return m, nil, fmt.Errorf("%w: truncated ΔV message", pregel.ErrSnapshotCorrupt)
 	}
 	m.Group, m.NVals, m.TagNull, m.TagPrev = src[0], src[1], src[2], src[3]
 	m.Sender = graph.VertexID(src[4]) | graph.VertexID(src[5])<<8 |
 		graph.VertexID(src[6])<<16 | graph.VertexID(src[7])<<24
-	src = src[8:]
-	for i := range m.Vals {
-		var err error
-		if m.Vals[i], src, err = pregel.DecodeFloat64(src); err != nil {
-			return m, nil, err
+	vals := src[8:msgWireBytes]
+	for i := 0; i < len(m.Vals); i++ {
+		m.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
+	}
+	for _, b := range vals[8*len(m.Vals):] {
+		if b != 0 {
+			return m, nil, fmt.Errorf("%w: ΔV message carries a value past its %d-slot width", pregel.ErrSnapshotCorrupt, len(m.Vals))
 		}
 	}
-	return m, src, nil
+	return m, src[msgWireBytes:], nil
 }
 
 // encodeExtra appends the machine payload to dst. Memo-table maps are

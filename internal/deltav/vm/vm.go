@@ -28,16 +28,33 @@ type VState struct{}
 // group).
 const MaxSlots = 4
 
+// Slots is the type set of message payloads. A program whose send groups
+// each have at most one aggregation site (every corpus program) runs on
+// [1]float64; a program with a wider group runs on [MaxSlots]float64.
+// NewMachine picks the width from core.Program.MaxSlotsPerGroup.
+type Slots interface {
+	[1]float64 | [MaxSlots]float64
+}
+
 // Msg is one ΔV message: the values of a send group's slots, with the
 // §6.4.1 nullary/previous-nullary tag bits, and the sender id for the
-// §4.2.1 lookup-table mode.
-type Msg struct {
+// §4.2.1 lookup-table mode. It is 16 bytes with one slot and 40 bytes
+// with MaxSlots.
+type Msg[S Slots] struct {
+	MsgHeader
+	Sender graph.VertexID
+	Vals   S
+}
+
+// MsgHeader is a message's group and tag bytes. It is a struct of its own
+// so that a single-slot Msg has three fields: the compiler keeps a struct
+// of at most four fields in registers, where one of six lives in memory
+// and is spilled and reloaded around every combiner call.
+type MsgHeader struct {
 	Group   uint8
 	NVals   uint8
 	TagNull uint8 // bit i: slot i carries a nullary value
 	TagPrev uint8 // bit i: slot i's previous message was nullary
-	Sender  graph.VertexID
-	Vals    [MaxSlots]float64
 }
 
 // stepMode is the master state machine's mode.
@@ -150,9 +167,14 @@ type Machine struct {
 	// allocated lazily. Only non-nil in MemoTable mode.
 	tables [][]map[graph.VertexID]float64
 
-	// redirects[site] maps user-field slots to $old slots, precomputed so
-	// workers never mutate shared state during Δ evaluation.
-	redirects []map[int]int
+	// groupSites[g] lists send group g's sites, and usesWeight[g] reports
+	// whether any of them reads ew.
+	groupSites [][]*core.AggSite
+	usesWeight []bool
+	// redirects[site] maps every layout slot to the slot Δ synthesis
+	// (Eq. 11) reads it from: the site's $old slot for each of its fields,
+	// the slot itself otherwise. Nil for sites without $old fields.
+	redirects [][]int
 
 	iterations  []int
 	nonMonotone atomic.Int64
@@ -160,10 +182,6 @@ type Machine struct {
 	runCtx      context.Context // run's context, visible to the master hook
 	ran         bool
 
-	// repair is the delta-recomputation plan (RunDelta only): the
-	// retraction/injection messages each frontier vertex emits during the
-	// modeRepair superstep. Nil for ordinary runs.
-	repair *repairPlan
 	// repairBudget bounds the repair run's body supersteps (RunDelta with
 	// DeltaRunOptions.SuperstepBudget); 0 means unbounded.
 	repairBudget int
@@ -210,18 +228,47 @@ func NewMachine(prog *core.Program, g *graph.Graph, opts RunOptions) (*Machine, 
 	}
 	m.iterations = make([]int, len(prog.Phases))
 	m.msgBytes = MessageBytes(prog)
-	m.redirects = make([]map[int]int, len(prog.Sites))
+	m.groupSites = make([][]*core.AggSite, len(prog.Groups))
+	m.usesWeight = make([]bool, len(prog.Groups))
+	for _, g := range prog.Groups {
+		for _, sid := range g.Sites {
+			s := prog.Sites[sid]
+			m.groupSites[g.ID] = append(m.groupSites[g.ID], s)
+			m.usesWeight[g.ID] = m.usesWeight[g.ID] || s.UsesWeight
+		}
+	}
+	m.redirects = make([][]int, len(prog.Sites))
 	for _, s := range prog.Sites {
 		if s.OldSlots == nil {
 			continue
 		}
-		r := make(map[int]int, len(s.Fields))
+		r := make([]int, m.stride)
+		for slot := range r {
+			r[slot] = slot
+		}
 		for i, f := range s.Fields {
 			r[f] = s.OldSlots[i]
 		}
 		m.redirects[s.ID] = r
 	}
 	return m, nil
+}
+
+// wide reports whether the program needs the MaxSlots-wide message; all
+// others run on the single-slot one.
+func (m *Machine) wide() bool { return m.prog.MaxSlotsPerGroup > 1 }
+
+// letsOnStack is the let depth an evaluator keeps in its caller's stack
+// frame; the corpus programs need at most two.
+const letsOnStack = 8
+
+// lets returns an evaluator's let slots: buf when the program's let depth
+// fits in it, a fresh slice otherwise.
+func (m *Machine) lets(buf []float64) []float64 {
+	if m.prog.MaxLetDepth <= len(buf) {
+		return buf[:m.prog.MaxLetDepth]
+	}
+	return make([]float64, m.prog.MaxLetDepth)
 }
 
 func paramIndex(p *core.Program, name string) (int, bool) {
@@ -307,12 +354,23 @@ func (m *Machine) RunContext(ctx context.Context, opts RunOptions) (*Result, err
 	} else {
 		gl = &globals{Phase: 0, Mode: modePrime}
 	}
-	return m.execute(ctx, opts, nil, gl)
+	if m.wide() {
+		return runner[[MaxSlots]float64]{m: m}.execute(ctx, opts, nil, gl)
+	}
+	return runner[[1]float64]{m: m}.execute(ctx, opts, nil, gl)
+}
+
+// runner is the machine at message width S: the pregel.Program the engine
+// drives, with the repair plan of a delta run (nil otherwise).
+type runner[S Slots] struct {
+	m      *Machine
+	repair *repairPlan[S]
 }
 
 // execute runs the machine on a fresh engine seeded with gl. Exactly one of
 // opts.Resume and warm may be set; both nil is a from-scratch run.
-func (m *Machine) execute(ctx context.Context, opts RunOptions, warm *pregel.WarmStartOptions, gl *globals) (*Result, error) {
+func (r runner[S]) execute(ctx context.Context, opts RunOptions, warm *pregel.WarmStartOptions, gl *globals) (*Result, error) {
+	m := r.m
 	if opts.MaxSupersteps <= 0 {
 		opts.MaxSupersteps = 100_000
 	}
@@ -322,14 +380,14 @@ func (m *Machine) execute(ctx context.Context, opts RunOptions, warm *pregel.War
 	m.runCtx = ctx
 	// The Extra closure captures eng by reference: the engine only invokes
 	// it mid-run, after New below has assigned it.
-	var eng *pregel.Engine[VState, Msg]
+	var eng *pregel.Engine[VState, Msg[S]]
 	ckpt := opts.Checkpoint
 	if ckpt.Dir != "" || ckpt.Sink != nil {
 		ckpt.Extra = func(dst []byte) []byte {
 			return m.encodeExtra(dst, eng.Globals().(*globals))
 		}
 	}
-	eng = pregel.New[VState, Msg](m.g, pregel.Options{
+	eng = pregel.New[VState, Msg[S]](m.g, pregel.Options{
 		Workers:       opts.Workers,
 		Scheduler:     opts.Scheduler,
 		Partition:     opts.Partition,
@@ -342,18 +400,18 @@ func (m *Machine) execute(ctx context.Context, opts RunOptions, warm *pregel.War
 	})
 	eng.SetMessageSize(m.msgBytes)
 	eng.SetValueCodec(vstateCodec{})
-	eng.SetMessageCodec(msgCodec{})
+	eng.SetMessageCodec(msgCodec[S]{})
 	if err := eng.RegisterAggregator(aggUnchanged, pregel.AggAnd, false); err != nil {
 		return nil, err
 	}
 	if opts.Combine {
-		if c := m.combiner(); c != nil {
-			eng.SetCombiner(c)
+		if ops := m.combineOps(); ops != nil {
+			eng.SetCombiner(&vmCombiner[S]{ops: ops})
 		}
 	}
 	eng.SetGlobals(gl)
 	eng.SetMasterHook(m.masterHook)
-	stats, err := eng.RunContext(ctx, m)
+	stats, err := eng.RunContext(ctx, r)
 	if stats == nil {
 		return nil, err
 	}
@@ -361,7 +419,7 @@ func (m *Machine) execute(ctx context.Context, opts RunOptions, warm *pregel.War
 		// The engine gathered its vertex values, but the VM's field state
 		// lives in m.state: a successful sharded run all-gathers the owned
 		// rows so Result fields read whole on every shard.
-		if gerr := m.gatherShardState(eng); gerr != nil {
+		if gerr := gatherShardState(m, eng); gerr != nil {
 			err = gerr
 		}
 	}
@@ -386,7 +444,7 @@ const aggUnchanged = "$unchanged"
 // successful sharded run: each shard broadcasts its owned vertex range
 // [lo, hi) as u32 bounds plus (hi-lo)·stride little-endian float64s and
 // copies every peer's rows into place. A no-op unsharded.
-func (m *Machine) gatherShardState(eng *pregel.Engine[VState, Msg]) error {
+func gatherShardState[S Slots](m *Machine, eng *pregel.Engine[VState, Msg[S]]) error {
 	if _, count := eng.ShardInfo(); count <= 1 {
 		return nil
 	}
@@ -456,17 +514,18 @@ func (m *Machine) StateBytes() float64 {
 // Init runs at superstep 0 on every vertex: default-initialize the
 // synthesized fields, evaluate the init{} body, and prime phase 0's send
 // groups with full slot values.
-func (m *Machine) Init(ctx *pregel.Context[VState, Msg]) {
+func (r runner[S]) Init(ctx *pregel.Context[VState, Msg[S]]) {
+	m := r.m
 	u := ctx.ID()
 	base := int(u) * m.stride
 	for i, f := range m.prog.Layout.Fields {
 		m.state[base+i] = m.fieldDefault(f)
 	}
-	ev := &evaluator{m: m, ctx: ctx, base: base, u: u}
-	ev.lets = make([]float64, m.prog.MaxLetDepth)
+	var lets [letsOnStack]float64
+	ev := &evaluator[S]{m: m, ctx: ctx, base: base, u: u, lets: m.lets(lets[:])}
 	ev.eval(m.prog.Init)
 	if len(m.prog.Phases) > 0 {
-		m.primeSends(ev, 0)
+		ev.primeSends(0)
 	}
 	// The master activates all vertices for the first body superstep, so
 	// halting after the prime is always sound.
@@ -489,22 +548,27 @@ func (m *Machine) fieldDefault(f core.FieldSpec) float64 {
 }
 
 // Compute runs a vertex at supersteps >= 1.
-func (m *Machine) Compute(ctx *pregel.Context[VState, Msg], msgs []Msg) {
+func (r runner[S]) Compute(ctx *pregel.Context[VState, Msg[S]], msgs []Msg[S]) {
+	m := r.m
 	gl := ctx.Globals().(*globals)
 	u := ctx.ID()
 	base := int(u) * m.stride
-	ev := &evaluator{m: m, ctx: ctx, base: base, u: u, msgs: msgs, iter: gl.Iter}
-	ev.lets = make([]float64, m.prog.MaxLetDepth)
+	var lets [letsOnStack]float64
+	ev := &evaluator[S]{m: m, ctx: ctx, base: base, u: u, msgs: msgs, iter: gl.Iter, lets: m.lets(lets[:])}
 	ph := &m.prog.Phases[gl.Phase]
 	switch gl.Mode {
 	case modePrime:
 		// Messages in flight at a prime superstep belong to the previous,
 		// finished phase; they are dropped (see package docs).
-		m.primeSends(ev, gl.Phase)
+		ev.primeSends(gl.Phase)
 		ctx.VoteToHalt()
 	case modeBody:
 		ev.eval(ph.Body)
-		ctx.Aggregate(aggUnchanged, boolTo01(!ev.changed))
+		if ev.changed {
+			// $unchanged is a non-persistent AND: it restarts at its
+			// identity 1 every superstep, so only a change contributes.
+			ctx.Aggregate(aggUnchanged, 0)
+		}
 		// Halting is performed by the Halt node for incremental programs;
 		// non-halting programs stay active for the next body superstep.
 	case modeRepair:
@@ -512,10 +576,10 @@ func (m *Machine) Compute(ctx *pregel.Context[VState, Msg], msgs []Msg) {
 		// vertex's mutated arcs. Pure senders halt; vertices flagged by the
 		// planner (memo-table surgery receivers) stay active so the next
 		// body superstep refolds their state even if no message wakes them.
-		for _, ps := range m.repair.sends[u] {
+		for _, ps := range r.repair.sends[u] {
 			ctx.Send(ps.dest, ps.msg)
 		}
-		if !m.repair.keepActive[u] {
+		if !r.repair.keepActive[u] {
 			ctx.VoteToHalt()
 		}
 	}
@@ -532,20 +596,17 @@ func boolTo01(b bool) float64 {
 // superstep send the data from the neighbors' perspective") for every send
 // group of a phase, records the sent values as the most-recently-sent
 // state, and clears the dirty bits.
-func (m *Machine) primeSends(ev *evaluator, phase int) {
-	for _, gid := range m.prog.Phases[phase].Groups {
-		g := m.prog.Groups[gid]
-		m.primeGroup(ev, g)
+func (ev *evaluator[S]) primeSends(phase int) {
+	for _, gid := range ev.m.prog.Phases[phase].Groups {
+		ev.primeGroup(ev.m.prog.Groups[gid])
 	}
 }
 
-func (m *Machine) primeGroup(ev *evaluator, g *core.SendGroup) {
-	sites := make([]*core.AggSite, len(g.Sites))
-	for i, sid := range g.Sites {
-		sites[i] = m.prog.Sites[sid]
-	}
-	buildFull := func(w float64) (Msg, bool) {
-		msg := Msg{Group: uint8(g.ID), NVals: uint8(len(sites)), Sender: ev.u}
+func (ev *evaluator[S]) primeGroup(g *core.SendGroup) {
+	m := ev.m
+	sites := m.groupSites[g.ID]
+	buildFull := func(w float64) (Msg[S], bool) {
+		msg := Msg[S]{MsgHeader: MsgHeader{Group: uint8(g.ID), NVals: uint8(len(sites))}, Sender: ev.u}
 		noop := true
 		for i, s := range sites {
 			ev.curWeight = w
@@ -570,7 +631,7 @@ func (m *Machine) primeGroup(ev *evaluator, g *core.SendGroup) {
 		}
 		return msg, true
 	}
-	if !m.groupUsesWeight(g.ID) {
+	if !m.usesWeight[g.ID] {
 		// Edge-independent payload: build once, broadcast (Eq. 7 lift).
 		if msg, sendIt := buildFull(1); sendIt {
 			ev.forPushEdges(g.PushDir, func(dest graph.VertexID, _ float64) {

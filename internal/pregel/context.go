@@ -117,9 +117,11 @@ func (c *Context[V, M]) VoteToHalt() { c.votedHalt = true }
 func (c *Context[V, M]) RemoveSelf() { c.removeSelf = true }
 
 // Aggregate contributes v to the named master aggregator; the reduced value
-// becomes visible through AggValue at the next superstep. Contributions
-// accumulate into a dense per-worker array indexed by the aggregator's
-// registration order, so the hot path never touches a string-keyed map.
+// becomes visible through AggValue at the next superstep. Each call looks
+// the name up in the engine's aggregator map, then accumulates into a
+// dense per-worker array indexed by the aggregator's registration order,
+// so the barrier merge touches no map. A vertex whose contribution is the
+// identity of a non-persistent aggregator can skip the call.
 func (c *Context[V, M]) Aggregate(name string, v float64) {
 	a, ok := c.eng.aggs[name]
 	if !ok {

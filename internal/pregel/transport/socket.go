@@ -162,7 +162,10 @@ func DialMesh(cfg SocketConfig) (*Socket, error) {
 		}
 	}()
 
-	// Dial every lower-numbered shard, retrying while its listener comes up.
+	// Dial every lower-numbered shard, retrying while its listener comes up:
+	// the wait starts at 1 ms and doubles up to 50 ms, so a peer that is
+	// a few milliseconds late costs a few milliseconds, and never sleeps
+	// past the setup deadline.
 	go func() {
 		defer wg.Done()
 		for peer := 0; peer < cfg.Shard; peer++ {
@@ -172,16 +175,19 @@ func DialMesh(cfg SocketConfig) (*Socket, error) {
 				return
 			}
 			var c net.Conn
+			wait := time.Millisecond
 			for {
 				c, err = net.DialTimeout(pnet, paddr, 250*time.Millisecond)
 				if err == nil {
 					break
 				}
-				if !time.Now().Before(deadline) { //lint:allow timenow — mesh setup timeout
+				left := time.Until(deadline)
+				if left <= 0 {
 					errc <- fmt.Errorf("transport: shard %d dial shard %d (%s): %w", cfg.Shard, peer, cfg.Addrs[peer], err)
 					return
 				}
-				time.Sleep(50 * time.Millisecond)
+				time.Sleep(min(wait, left))
+				wait = min(2*wait, 50*time.Millisecond)
 			}
 			got, err := s.handshake(c, deadline, true)
 			if err != nil {

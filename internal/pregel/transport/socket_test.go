@@ -286,6 +286,52 @@ func TestSocketSingleShard(t *testing.T) {
 	}
 }
 
+// TestSocketLateListener starts shard 1, which dials shard 0, before shard
+// 0 listens: shard 1 retries with backoff until shard 0 comes up, and the
+// mesh completes and carries a barrier.
+func TestSocketLateListener(t *testing.T) {
+	addrs := unixAddrs(t, 2)
+	cfg := func(shard int) SocketConfig {
+		return SocketConfig{Shard: shard, Count: 2, Addrs: addrs, Fingerprint: 7, Timeout: 10 * time.Second}
+	}
+	type dialed struct {
+		s   *Socket
+		err error
+	}
+	late := make(chan dialed, 1)
+	go func() {
+		s, err := DialMesh(cfg(1))
+		late <- dialed{s, err}
+	}()
+	time.Sleep(30 * time.Millisecond) // shard 1 is now retrying
+	s0, err := DialMesh(cfg(0))
+	if err != nil {
+		t.Fatalf("shard 0: %v", err)
+	}
+	defer s0.Close()
+	d := <-late
+	if d.err != nil {
+		t.Fatalf("shard 1: %v", d.err)
+	}
+	defer d.s.Close()
+	var wg sync.WaitGroup
+	ctrls := make([][][]byte, 2)
+	errs := make([]error, 2)
+	for i, s := range []*Socket{s0, d.s} {
+		wg.Add(1)
+		go func(i int, s *Socket) {
+			defer wg.Done()
+			ctrls[i], errs[i] = s.Barrier([]byte{byte(i)})
+		}(i, s)
+	}
+	wg.Wait()
+	for i := range ctrls {
+		if errs[i] != nil || len(ctrls[i]) != 2 || !bytes.Equal(ctrls[i][0], []byte{0}) || !bytes.Equal(ctrls[i][1], []byte{1}) {
+			t.Fatalf("shard %d Barrier = %v, %v", i, ctrls[i], errs[i])
+		}
+	}
+}
+
 // TestLocalTransport pins the degenerate single-shard implementation.
 func TestLocalTransport(t *testing.T) {
 	l := NewLocal()
