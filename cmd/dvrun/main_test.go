@@ -399,9 +399,13 @@ func TestRunInterruptResume(t *testing.T) {
 
 	// Interrupt timing is inherently racy: too early and no barrier has
 	// completed (nothing to snapshot), too late and the run finishes. Retry
-	// with growing timeouts until an aborted run leaves a checkpoint.
+	// with growing timeouts until an aborted run leaves a checkpoint. The
+	// timeout also covers generating the graph, so the window between the
+	// first barrier and the end of the run can be a small fraction of the
+	// whole; the timeouts grow by a quarter, not by doubling, so that a
+	// fast engine's window is not stepped over.
 	var snapPath string
-	for timeout := 2 * time.Millisecond; timeout < 4*time.Second; timeout *= 2 {
+	for timeout := 2 * time.Millisecond; timeout < 4*time.Second; timeout += timeout / 4 {
 		cfg := base
 		cfg.ckptDir = t.TempDir()
 		cfg.timeout = timeout

@@ -124,23 +124,26 @@ func (m *Machine) RunDeltaContext(ctx context.Context, opts DeltaRunOptions) (*R
 	}
 	m.nonMonotone.Store(0)
 	m.repairBudget = opts.SuperstepBudget
+	if m.wide() {
+		return runDelta[[MaxSlots]float64](ctx, m, opts, gl)
+	}
+	return runDelta[[1]float64](ctx, m, opts, gl)
+}
+
+// runDelta compiles the machine's program at width S, plans the repair and
+// runs it from the warm-started engine.
+func runDelta[S Slots](ctx context.Context, m *Machine, opts DeltaRunOptions, gl *globals) (*Result, error) {
+	r, err := newRunner[S](m)
+	if err != nil {
+		return nil, err
+	}
 	// Added vertices have no snapshotted state: run their init{} now, and
 	// record the primed send state (what primeGroup would have recorded)
 	// so the planner's injection sends for their arcs evaluate against a
 	// coherent baseline. The sends themselves come from the plan — every
 	// arc of a new vertex is an ArcAdd in the diff.
-	m.initNewVertices(opts.Snapshot.NumVertices, gl.Phase)
-	if m.wide() {
-		return runner[[MaxSlots]float64]{m: m}.runDelta(ctx, opts, gl)
-	}
-	return runner[[1]float64]{m: m}.runDelta(ctx, opts, gl)
-}
-
-// runDelta plans the repair at message width S and runs it from the
-// warm-started engine.
-func (r runner[S]) runDelta(ctx context.Context, opts DeltaRunOptions, gl *globals) (*Result, error) {
-	m := r.m
-	plan, err := planRepair[S](m, opts.Changes)
+	r.initNewVertices(opts.Snapshot.NumVertices, gl.Phase)
+	plan, err := planRepair(newEvaluator(m, r.code), opts.Changes)
 	if err != nil {
 		return nil, err
 	}
@@ -160,39 +163,20 @@ func (r runner[S]) runDelta(ctx context.Context, opts DeltaRunOptions, gl *globa
 // initNewVertices seeds the vertices in [oldN, n): default field values,
 // the init{} body, and the same most-recently-sent bookkeeping primeGroup
 // records after a full prime — minus the sends, which the repair plan
-// synthesizes from the new vertices' (all-added) arcs instead. It sends
-// nothing, so its evaluator runs at the single-slot width.
-func (m *Machine) initNewVertices(oldN, phase int) {
+// synthesizes from the new vertices' (all-added) arcs instead.
+func (r *runner[S]) initNewVertices(oldN, phase int) {
+	m := r.m
 	n := m.g.NumVertices()
 	if oldN >= n {
 		return
 	}
-	var lets [letsOnStack]float64
-	ev := &evaluator[[1]float64]{m: m, lets: m.lets(lets[:])}
+	ev := newEvaluator(m, r.code)
 	for u := oldN; u < n; u++ {
-		ev.u, ev.base = graph.VertexID(u), u*m.stride
-		for i, f := range m.prog.Layout.Fields {
-			m.state[ev.base+i] = m.fieldDefault(f)
-		}
-		ev.eval(m.prog.Init)
+		ev.begin(nil, graph.VertexID(u), nil, 0)
+		copy(ev.state[ev.base:ev.base+m.stride], r.code.defaults)
+		r.code.init(ev)
 		for _, gid := range m.prog.Phases[phase].Groups {
-			g := m.prog.Groups[gid]
-			if g.DirtySlot >= 0 {
-				m.state[ev.base+g.DirtySlot] = 0
-			}
-			for _, s := range m.groupSites[gid] {
-				for i, fslot := range s.Fields {
-					if s.OldSlots != nil {
-						m.state[ev.base+s.OldSlots[i]] = m.state[ev.base+fslot]
-					}
-				}
-				if s.LastNNSlot >= 0 {
-					ev.curWeight = 1
-					if v := ev.eval(s.SlotExpr); v != 0 {
-						m.state[ev.base+s.LastNNSlot] = v
-					}
-				}
-			}
+			ev.recordPrimed(&r.code.groups[gid])
 		}
 	}
 }
@@ -266,7 +250,8 @@ type pushArc struct {
 // planRepair builds the per-vertex repair sends, the memo-table surgery
 // list, and the warm-start frontier for the applied delta. It runs after
 // restoreExtra, so slot expressions evaluate against the converged state.
-func planRepair[S Slots](m *Machine, ch *graph.AppliedDelta) (*repairPlan[S], error) {
+func planRepair[S Slots](ev *evaluator[S], ch *graph.AppliedDelta) (*repairPlan[S], error) {
+	m := ev.m
 	plan := &repairPlan[S]{
 		sends:      make(map[graph.VertexID][]repairSend[S]),
 		keepActive: make(map[graph.VertexID]bool),
@@ -285,8 +270,6 @@ func planRepair[S Slots](m *Machine, ch *graph.AppliedDelta) (*repairPlan[S], er
 			inDelta[a.V]--
 		}
 	}
-	var lets [letsOnStack]float64
-	ev := &evaluator[S]{m: m, lets: m.lets(lets[:])}
 	clamped := core.SelfFoldingFields(m.prog.Phases[0].Body, m.prog.Layout.UserFields)
 	for _, gid := range m.prog.Phases[0].Groups {
 		if err := plan.group(ev, m.prog.Groups[gid], ch, inDelta, outDelta, clamped); err != nil {
@@ -414,9 +397,10 @@ func (plan *repairPlan[S]) group(ev *evaluator[S], g *core.SendGroup, ch *graph.
 // pushArcs lists the sender's current push-side arcs in destination order.
 func (ev *evaluator[S]) pushArcs(dir ast.GraphDir) []pushArc {
 	var out []pushArc
-	ev.forPushEdges(dir, func(dest graph.VertexID, w float64) {
-		out = append(out, pushArc{dest, w})
-	})
+	it := pushArcs(ev.m.g, dir == ast.DirIn, ev.u)
+	for it.Next() {
+		out = append(out, pushArc{it.To(), it.Weight()})
+	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].dest < out[j].dest })
 	return out
 }
@@ -446,12 +430,11 @@ func (m *Machine) oldDegrees(u graph.VertexID, inDelta, outDelta map[graph.Verte
 // optionally against the $old fields (what receivers last heard).
 func (ev *evaluator[S]) repairSlotVal(s *core.AggSite, w float64, old *vertexDegrees) float64 {
 	ev.curWeight = w
-	ev.degOverride = old
+	slot := ev.code.slot[s.ID]
 	if old != nil {
-		ev.redirect = ev.m.redirects[s.ID]
+		ev.degOverride, slot = old, ev.code.slotOld[s.ID]
 	}
-	v := ev.eval(s.SlotExpr)
-	ev.redirect = nil
+	v := slot(ev)
 	ev.degOverride = nil
 	return v
 }

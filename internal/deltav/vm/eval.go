@@ -1,42 +1,38 @@
 package vm
 
 import (
-	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/deltav/ast"
-	"repro/internal/deltav/types"
 	"repro/internal/graph"
 	"repro/internal/pregel"
 )
 
-// evaluator interprets resolved ΔV expressions for one vertex during one
-// superstep. All values are float64-encoded: bools are 0/1 and ints are
-// integral floats (exact up to 2^53).
+// evaluator is the runtime state compiled ΔV code (see compile.go) reads
+// and writes for one vertex at a time. All values are float64-encoded:
+// bools are 0/1 and ints are integral floats (exact up to 2^53).
+//
+// Compiled closures take the evaluator by pointer, so it lives on the
+// heap; building one per vertex call would allocate per vertex. A run
+// keeps one per engine worker instead (runner.evs, indexed by
+// pregel.Context.Worker) and rebinds it to each vertex with begin.
 type evaluator[S Slots] struct {
-	m    *Machine
-	ctx  *pregel.Context[VState, Msg[S]]
-	u    graph.VertexID
-	base int
+	m     *Machine
+	code  *code[S]
+	state []float64 // m.state
+	ctx   *pregel.Context[VState, Msg[S]]
+	u     graph.VertexID
+	base  int
 
-	// lets is the let stack, usually in the caller's frame. No method
-	// stores a pointer it read from the evaluator back into it (cur is an
-	// index, tableFold's sort scratch is local): escape analysis would then
-	// move lets to the heap.
 	lets []float64
 	msgs []Msg[S]
 	cur  int // index in msgs of the message a MsgLoop body reads
 	iter int
+	// fixpoint is the until{} fixpoint predicate (master evaluator only).
+	fixpoint bool
 
 	curWeight float64
 	curDest   graph.VertexID
-
-	// redirect, when non-nil, remaps field slots during evaluation (one of
-	// Machine.redirects); used to recompute a slot expression against the
-	// $old fields for Δ synthesis (Eq. 11).
-	redirect []int
 
 	// degOverride, when non-nil, substitutes the vertex's degrees during
 	// Cardinality evaluation. The repair planner uses it to evaluate
@@ -51,299 +47,122 @@ type vertexDegrees struct {
 	in, out int
 }
 
-func (ev *evaluator[S]) field(slot int) float64 {
-	if ev.redirect != nil {
-		slot = ev.redirect[slot]
-	}
-	return ev.m.state[ev.base+slot]
+// newEvaluator returns an evaluator over m's state running c.
+func newEvaluator[S Slots](m *Machine, c *code[S]) *evaluator[S] {
+	return &evaluator[S]{m: m, code: c, state: m.state, lets: make([]float64, m.prog.MaxLetDepth), cur: -1}
 }
 
-// eval evaluates e and returns its float64-encoded value (0 for
-// unit-typed statements).
-func (ev *evaluator[S]) eval(e ast.Expr) float64 {
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return float64(n.Val)
-	case *ast.FloatLit:
-		return n.Val
-	case *ast.BoolLit:
-		return boolTo01(n.Val)
-	case *ast.Infty:
-		return math.Inf(1)
-	case *ast.GraphSize:
-		return float64(ev.m.g.NumVertices())
-	case *ast.VertexID:
-		return float64(ev.u)
-	case *ast.EdgeWeight:
-		return ev.curWeight
-	case *ast.Var:
-		switch {
-		case n.Slot >= 0:
-			return ev.lets[n.Slot]
-		case n.Slot == core.IterVarSlot:
-			return float64(ev.iter)
-		default:
-			return ev.m.params[core.ParamIndex(n.Slot)]
-		}
-	case *ast.Field:
-		return ev.field(n.Slot)
-	case *ast.OldField:
-		return ev.m.state[ev.base+n.Slot]
-	case *ast.Changed:
-		cur := ev.m.state[ev.base+n.Slot]
-		old := ev.m.state[ev.base+n.OldSlot]
-		eps := ev.m.prog.Opts.Epsilon
-		if eps > 0 && ev.m.prog.Layout.Fields[n.Slot].Type == types.Float {
-			return boolTo01(math.Abs(cur-old) > eps)
-		}
-		return boolTo01(cur != old)
-	case *ast.Unary:
-		if n.Op == "not" {
-			return boolTo01(ev.eval(n.X) == 0)
-		}
-		return -ev.eval(n.X)
-	case *ast.Binary:
-		switch n.Op {
-		case "&&":
-			if ev.eval(n.L) == 0 {
-				return 0
-			}
-			return boolTo01(ev.eval(n.R) != 0)
-		case "||":
-			if ev.eval(n.L) != 0 {
-				return 1
-			}
-			return boolTo01(ev.eval(n.R) != 0)
-		}
-		l, r := ev.eval(n.L), ev.eval(n.R)
-		switch n.Op {
-		case "+":
-			return l + r
-		case "-":
-			return l - r
-		case "*":
-			return l * r
-		case "/":
-			return l / r
-		case "<":
-			return boolTo01(l < r)
-		case ">":
-			return boolTo01(l > r)
-		case "<=":
-			return boolTo01(l <= r)
-		case ">=":
-			return boolTo01(l >= r)
-		case "==":
-			return boolTo01(l == r)
-		case "!=":
-			return boolTo01(l != r)
-		}
-		panic(fmt.Sprintf("vm: unknown operator %q", n.Op))
-	case *ast.MinMax:
-		a, b := ev.eval(n.A), ev.eval(n.B)
-		if n.IsMax {
-			return math.Max(a, b)
-		}
-		return math.Min(a, b)
-	case *ast.If:
-		if ev.eval(n.Cond) != 0 {
-			return ev.eval(n.Then)
-		}
-		if n.Else != nil {
-			return ev.eval(n.Else)
-		}
-		return 0
-	case *ast.Let:
-		ev.lets[n.Slot] = ev.eval(n.Init)
-		return ev.eval(n.Body)
-	case *ast.Local:
-		ev.m.state[ev.base+n.Slot] = ev.eval(n.Init)
-		return 0
-	case *ast.Assign:
-		v := ev.eval(n.Value)
-		if !n.IsField {
-			ev.lets[n.Slot] = v
-			return 0
-		}
-		idx := ev.base + n.Slot
-		if ev.m.prog.Layout.Fields[n.Slot].Kind == core.UserField && ev.m.state[idx] != v {
-			ev.changed = true
-		}
-		ev.m.state[idx] = v
-		return 0
-	case *ast.Seq:
-		var v float64
-		for _, it := range n.Items {
-			v = ev.eval(it)
-		}
-		return v
-	case *ast.Cardinality:
-		return float64(ev.degree(n.G))
-	case *ast.ForNeighbors:
-		// Broadcast fast path (the runtime side of the Eq. 7 lift): when
-		// the loop body is a send whose payload does not read the edge
-		// weight, the message is identical on every edge — build it once.
-		if send, ok := n.Body.(*ast.Send); ok && !ev.m.usesWeight[send.Group] {
-			ev.curWeight = 1
-			if msg, sendIt := ev.buildMsg(send); sendIt {
-				ev.forPushEdges(n.G, func(dest graph.VertexID, _ float64) {
-					ev.ctx.Send(dest, msg)
-				})
-			}
-			return 0
-		}
-		ev.forPushEdges(n.G, func(dest graph.VertexID, w float64) {
-			ev.curDest, ev.curWeight = dest, w
-			ev.eval(n.Body)
-		})
-		return 0
-	case *ast.Send:
-		ev.send(n)
-		return 0
-	case *ast.MsgLoop:
-		for i := range ev.msgs {
-			if int(ev.msgs[i].Group) != n.Group {
-				continue
-			}
-			ev.cur = i
-			ev.eval(n.Body)
-		}
-		ev.cur = -1
-		return 0
-	case *ast.MsgSlot:
-		return ev.msgs[ev.cur].Vals[ev.m.prog.Sites[n.Site].SlotInGroup]
-	case *ast.MsgIsNull:
-		return boolTo01(ev.msgs[ev.cur].TagNull&(1<<ev.m.prog.Sites[n.Site].SlotInGroup) != 0)
-	case *ast.MsgPrevNull:
-		return boolTo01(ev.msgs[ev.cur].TagPrev&(1<<ev.m.prog.Sites[n.Site].SlotInGroup) != 0)
-	case *ast.TableUpdate:
-		ev.tableUpdate(n.Group)
-		return 0
-	case *ast.TableFold:
-		return ev.tableFold(n.Site)
-	case *ast.Halt:
-		ev.ctx.VoteToHalt()
-		return 0
-	case *ast.Delta:
-		panic("vm: Delta outside a send payload")
-	}
-	panic(fmt.Sprintf("vm: eval missing case for %T", e))
+// begin binds the evaluator to vertex u for one Init or Compute call.
+func (ev *evaluator[S]) begin(ctx *pregel.Context[VState, Msg[S]], u graph.VertexID, msgs []Msg[S], iter int) {
+	ev.ctx, ev.u, ev.base = ctx, u, int(u)*ev.m.stride
+	ev.msgs, ev.iter, ev.changed = msgs, iter, false
 }
 
-// degree is the receiver-perspective count |g|.
-func (ev *evaluator[S]) degree(g ast.GraphDir) int {
-	if d := ev.degOverride; d != nil {
-		if g == ast.DirIn {
-			return d.in
-		}
-		return d.out
-	}
-	switch g {
-	case ast.DirIn:
-		return ev.m.g.InDegree(ev.u)
-	case ast.DirOut:
-		return ev.m.g.OutDegree(ev.u)
-	default:
-		return ev.m.g.OutDegree(ev.u) // undirected: neighbours
-	}
-}
-
-// forPushEdges iterates the sender-perspective edges of a push direction,
-// yielding each destination and edge weight.
-func (ev *evaluator[S]) forPushEdges(dir ast.GraphDir, fn func(dest graph.VertexID, w float64)) {
-	g := ev.m.g
-	var it graph.ArcIter
-	switch dir {
-	case ast.DirIn:
-		it = g.InArcs(ev.u)
-	default: // DirOut and DirNeighbors
-		it = g.OutArcs(ev.u)
-	}
-	for it.Next() {
-		v, w := it.To(), it.Weight()
-		fn(v, w)
-	}
-}
-
-// send assembles and emits one message for the current edge (set by the
-// enclosing ForNeighbors).
-func (ev *evaluator[S]) send(n *ast.Send) {
-	if msg, sendIt := ev.buildMsg(n); sendIt {
-		ev.ctx.Send(ev.curDest, msg)
-	}
-}
-
-// buildMsg assembles a message from a Send node's payload; the second
-// result is false when every slot is a no-op Δ (the message would not be
+// buildMsg assembles a message from a compiled Send; the second result is
+// false when every slot is a no-op Δ (the message would not be
 // meaningful).
-func (ev *evaluator[S]) buildMsg(n *ast.Send) (Msg[S], bool) {
-	msg := Msg[S]{MsgHeader: MsgHeader{Group: uint8(n.Group), NVals: uint8(len(n.Payload))}, Sender: ev.u}
+func (ev *evaluator[S]) buildMsg(sc *sendCode[S]) (Msg[S], bool) {
+	msg := Msg[S]{MsgHeader: sc.hdr, Sender: ev.u}
 	noop := true
-	for i, p := range n.Payload {
-		if d, ok := p.(*ast.Delta); ok {
-			val, isNull, prevNull, slotNoop := ev.delta(d)
-			msg.Vals[i] = val
-			if isNull {
-				msg.TagNull |= 1 << i
-			}
-			if prevNull {
-				msg.TagPrev |= 1 << i
-			}
-			if !slotNoop {
-				noop = false
-			}
-		} else {
-			msg.Vals[i] = ev.eval(p)
+	for i, p := range sc.payload {
+		val, isNull, prevNull, slotNoop := p(ev)
+		msg.Vals[i] = val
+		if isNull {
+			msg.TagNull |= 1 << i
+		}
+		if prevNull {
+			msg.TagPrev |= 1 << i
+		}
+		if !slotNoop {
 			noop = false
 		}
 	}
 	return msg, !noop
 }
 
-// delta synthesizes the Δ-message value for one slot (P5, Eq. 11): the
-// value v such that acc ⊞ new ≃ (acc ⊞ old) ⊞ v, with the §6.4.1 nullary
-// tags for multiplicative operators.
-func (ev *evaluator[S]) delta(d *ast.Delta) (val float64, isNull, prevNull, noop bool) {
-	s := ev.m.prog.Sites[d.Site]
-	newV := ev.eval(d.X)
-	ev.redirect = ev.m.redirects[s.ID]
-	oldV := ev.eval(d.X)
-	ev.redirect = nil
-	if newV == oldV {
-		return core.Identity(s.Op), false, false, true
+// broadcast sends msg over every edge of the push direction through the
+// engine's one broadcast path.
+func (ev *evaluator[S]) broadcast(in bool, msg Msg[S]) {
+	if in {
+		ev.ctx.BroadcastIn(msg)
+	} else {
+		ev.ctx.BroadcastOut(msg)
 	}
-	switch s.Op {
-	case ast.AggSum:
-		return newV - oldV, false, false, false
-	case ast.AggMin:
-		if newV > oldV {
-			ev.m.nonMonotone.Add(1)
-		}
-		return newV, false, false, false
-	case ast.AggMax:
-		if newV < oldV {
-			ev.m.nonMonotone.Add(1)
-		}
-		return newV, false, false, false
-	case ast.AggProd:
-		switch {
-		case newV == 0:
-			return 0, true, false, false
-		case oldV == 0:
-			lastNN := ev.m.state[ev.base+s.LastNNSlot]
-			return newV / lastNN, false, true, false
-		default:
-			return newV / oldV, false, false, false
-		}
-	case ast.AggAnd, ast.AggOr:
-		abs, _ := core.Absorbing(s.Op)
-		if newV == abs {
-			return newV, true, false, false
-		}
-		// newV is the identity and oldV was absorbing.
-		return newV, false, true, false
+}
+
+// primeSends implements the initial full-value send of §6.1 ("at the first
+// superstep send the data from the neighbors' perspective") for every send
+// group of a phase, records the sent values as the most-recently-sent
+// state, and clears the dirty bits.
+func (ev *evaluator[S]) primeSends(phase int) {
+	for _, gid := range ev.m.prog.Phases[phase].Groups {
+		ev.primeGroup(&ev.code.groups[gid])
 	}
-	panic("vm: delta for unknown operator")
+}
+
+func (ev *evaluator[S]) primeGroup(gc *groupCode[S]) {
+	if gc.broadcast {
+		// Edge-independent payload: build once, broadcast (Eq. 7 lift).
+		if msg, ok := ev.fullMsg(gc, 1); ok {
+			ev.broadcast(gc.in, msg)
+		}
+	} else {
+		it := pushArcs(ev.m.g, gc.in, ev.u)
+		for it.Next() {
+			if msg, ok := ev.fullMsg(gc, it.Weight()); ok {
+				ev.ctx.Send(it.To(), msg)
+			}
+		}
+	}
+	ev.recordPrimed(gc)
+}
+
+// fullMsg builds a group's full-value message for an edge of weight w; the
+// second result is false when the message cannot affect any accumulator.
+func (ev *evaluator[S]) fullMsg(gc *groupCode[S], w float64) (Msg[S], bool) {
+	msg := Msg[S]{MsgHeader: gc.hdr, Sender: ev.u}
+	noop := true
+	for i := range gc.sites {
+		s := &gc.sites[i]
+		ev.curWeight = w
+		v := s.slot(ev)
+		msg.Vals[i] = v
+		if s.mult && v == s.absorbing {
+			msg.TagNull |= 1 << i
+			noop = false
+			continue
+		}
+		if v != s.id {
+			noop = false
+		}
+	}
+	// An all-identity message cannot affect any accumulator; receivers'
+	// caches already agree (Def. 1's initial coherence), so it is never
+	// meaningful — except to a lookup table, which records every sender.
+	return msg, !noop || gc.table
+}
+
+// recordPrimed records what receivers now believe after a group's prime
+// (§6.2) and resets its dirty bit.
+func (ev *evaluator[S]) recordPrimed(gc *groupCode[S]) {
+	state, base := ev.state, ev.base
+	if gc.dirty >= 0 {
+		state[base+gc.dirty] = 0
+	}
+	for i := range gc.sites {
+		s := &gc.sites[i]
+		for j, fslot := range s.Fields {
+			if s.OldSlots != nil {
+				state[base+s.OldSlots[j]] = state[base+fslot]
+			}
+		}
+		if s.LastNNSlot >= 0 {
+			ev.curWeight = 1
+			if v := s.slot(ev); v != 0 {
+				state[base+s.LastNNSlot] = v
+			}
+		}
+	}
 }
 
 // tableUpdate implements the §4.2.1 receive path: record each sender's

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/deltav/ast"
@@ -48,7 +47,7 @@ func (m *Machine) masterHook(mc *pregel.MasterContext) {
 			return
 		}
 		fix := mc.AggValue(aggUnchanged) != 0
-		if m.untilSatisfied(ph, gl.Iter, fix) {
+		if m.untilSatisfied(gl.Phase, gl.Iter, fix) {
 			m.advance(mc, gl.Phase)
 			return
 		}
@@ -69,7 +68,7 @@ func (m *Machine) masterHook(mc *pregel.MasterContext) {
 					m.failf(mc, "phase %d: until{} fast-forward aborted: %v", gl.Phase, m.runCtx.Err())
 					return
 				}
-				if m.untilSatisfied(ph, k, true) {
+				if m.untilSatisfied(gl.Phase, k, true) {
 					m.advance(mc, gl.Phase)
 					return
 				}
@@ -117,88 +116,16 @@ func (m *Machine) advance(mc *pregel.MasterContext, phase int) {
 	mc.ActivateAll()
 }
 
-// untilSatisfied evaluates the (master-evaluable) until condition.
-func (m *Machine) untilSatisfied(ph *core.Phase, iter int, fixpoint bool) bool {
-	if ph.Until == nil {
+// untilSatisfied evaluates a phase's compiled (master-evaluable) until
+// condition: the iteration counter, params, fixpoint, graphSize, literals
+// and pure operators (enforced by the type checker).
+func (m *Machine) untilSatisfied(phase, iter int, fixpoint bool) bool {
+	until := m.until[phase]
+	if until == nil {
 		return true
 	}
-	return m.evalMaster(ph.Until, iter, fixpoint) != 0
-}
-
-// evalMaster evaluates the restricted until{} expression language: the
-// iteration counter, params, fixpoint, graphSize, literals and pure
-// operators (enforced by the type checker).
-func (m *Machine) evalMaster(e ast.Expr, iter int, fixpoint bool) float64 {
-	ev := func(x ast.Expr) float64 { return m.evalMaster(x, iter, fixpoint) }
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return float64(n.Val)
-	case *ast.FloatLit:
-		return n.Val
-	case *ast.BoolLit:
-		return boolTo01(n.Val)
-	case *ast.Infty:
-		return math.Inf(1)
-	case *ast.GraphSize:
-		return float64(m.g.NumVertices())
-	case *ast.FixpointRef:
-		return boolTo01(fixpoint)
-	case *ast.Var:
-		if n.Slot == core.IterVarSlot {
-			return float64(iter)
-		}
-		return m.params[core.ParamIndex(n.Slot)]
-	case *ast.Unary:
-		if n.Op == "not" {
-			return boolTo01(ev(n.X) == 0)
-		}
-		return -ev(n.X)
-	case *ast.Binary:
-		switch n.Op {
-		case "&&":
-			return boolTo01(ev(n.L) != 0 && ev(n.R) != 0)
-		case "||":
-			return boolTo01(ev(n.L) != 0 || ev(n.R) != 0)
-		}
-		l, r := ev(n.L), ev(n.R)
-		switch n.Op {
-		case "+":
-			return l + r
-		case "-":
-			return l - r
-		case "*":
-			return l * r
-		case "/":
-			return l / r
-		case "<":
-			return boolTo01(l < r)
-		case ">":
-			return boolTo01(l > r)
-		case "<=":
-			return boolTo01(l <= r)
-		case ">=":
-			return boolTo01(l >= r)
-		case "==":
-			return boolTo01(l == r)
-		case "!=":
-			return boolTo01(l != r)
-		}
-	case *ast.MinMax:
-		a, b := ev(n.A), ev(n.B)
-		if n.IsMax {
-			return math.Max(a, b)
-		}
-		return math.Min(a, b)
-	case *ast.If:
-		if ev(n.Cond) != 0 {
-			return ev(n.Then)
-		}
-		if n.Else != nil {
-			return ev(n.Else)
-		}
-		return 0
-	}
-	panic(fmt.Sprintf("vm: until{} contains unsupported form %T", e))
+	m.master.iter, m.master.fixpoint = iter, fixpoint
+	return until(m.master) != 0
 }
 
 // combineOps returns the slot operators of the program's sender-side

@@ -21,7 +21,7 @@ func evalMasterOn(t *testing.T, until string, iter int, fixpoint bool, params ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.untilSatisfied(&m.prog.Phases[0], iter, fixpoint)
+	return m.untilSatisfied(0, iter, fixpoint)
 }
 
 func TestMasterUntilEvaluation(t *testing.T) {

@@ -1,10 +1,11 @@
 // Package vm executes compiled ΔV programs (core.Program) on the Pregel
 // engine. It plays the role of the Pregel+ compute() function the paper's
 // compiler emits: the statement list runs as a master-driven state machine,
-// each vertex evaluates the transformed statement bodies (including the
+// each vertex runs the transformed statement bodies (including the
 // internal receive loops, change checks, Δ-message sends and halts the
-// passes inserted), and the master evaluates until{} conditions with an
-// incrementally maintained fixpoint aggregator.
+// passes inserted), compiled to closures once per run, and the master
+// evaluates until{} conditions with an incrementally maintained fixpoint
+// aggregator.
 package vm
 
 import (
@@ -171,10 +172,11 @@ type Machine struct {
 	// whether any of them reads ew.
 	groupSites [][]*core.AggSite
 	usesWeight []bool
-	// redirects[site] maps every layout slot to the slot Δ synthesis
-	// (Eq. 11) reads it from: the site's $old slot for each of its fields,
-	// the slot itself otherwise. Nil for sites without $old fields.
-	redirects [][]int
+
+	// until[phase] is the phase's compiled until{} condition (nil when it
+	// has none), evaluated by the master hook on master.
+	until  []expr[[1]float64]
+	master *evaluator[[1]float64]
 
 	iterations  []int
 	nonMonotone atomic.Int64
@@ -237,39 +239,17 @@ func NewMachine(prog *core.Program, g *graph.Graph, opts RunOptions) (*Machine, 
 			m.usesWeight[g.ID] = m.usesWeight[g.ID] || s.UsesWeight
 		}
 	}
-	m.redirects = make([][]int, len(prog.Sites))
-	for _, s := range prog.Sites {
-		if s.OldSlots == nil {
-			continue
-		}
-		r := make([]int, m.stride)
-		for slot := range r {
-			r[slot] = slot
-		}
-		for i, f := range s.Fields {
-			r[f] = s.OldSlots[i]
-		}
-		m.redirects[s.ID] = r
+	var err error
+	if m.until, err = compileUntil(m); err != nil {
+		return nil, err
 	}
+	m.master = newEvaluator[[1]float64](m, nil)
 	return m, nil
 }
 
 // wide reports whether the program needs the MaxSlots-wide message; all
 // others run on the single-slot one.
 func (m *Machine) wide() bool { return m.prog.MaxSlotsPerGroup > 1 }
-
-// letsOnStack is the let depth an evaluator keeps in its caller's stack
-// frame; the corpus programs need at most two.
-const letsOnStack = 8
-
-// lets returns an evaluator's let slots: buf when the program's let depth
-// fits in it, a fresh slice otherwise.
-func (m *Machine) lets(buf []float64) []float64 {
-	if m.prog.MaxLetDepth <= len(buf) {
-		return buf[:m.prog.MaxLetDepth]
-	}
-	return make([]float64, m.prog.MaxLetDepth)
-}
 
 func paramIndex(p *core.Program, name string) (int, bool) {
 	for i, ps := range p.Params {
@@ -355,21 +335,43 @@ func (m *Machine) RunContext(ctx context.Context, opts RunOptions) (*Result, err
 		gl = &globals{Phase: 0, Mode: modePrime}
 	}
 	if m.wide() {
-		return runner[[MaxSlots]float64]{m: m}.execute(ctx, opts, nil, gl)
+		return execute[[MaxSlots]float64](ctx, m, opts, gl)
 	}
-	return runner[[1]float64]{m: m}.execute(ctx, opts, nil, gl)
+	return execute[[1]float64](ctx, m, opts, gl)
+}
+
+// execute compiles the machine's program at width S and runs it from
+// scratch or from opts.Resume.
+func execute[S Slots](ctx context.Context, m *Machine, opts RunOptions, gl *globals) (*Result, error) {
+	r, err := newRunner[S](m)
+	if err != nil {
+		return nil, err
+	}
+	return r.execute(ctx, opts, nil, gl)
 }
 
 // runner is the machine at message width S: the pregel.Program the engine
-// drives, with the repair plan of a delta run (nil otherwise).
+// drives. It holds the program compiled at that width, one evaluator per
+// engine worker, and the repair plan of a delta run (nil otherwise).
 type runner[S Slots] struct {
 	m      *Machine
+	code   *code[S]
+	evs    []*evaluator[S]
 	repair *repairPlan[S]
+}
+
+// newRunner compiles m's program at width S.
+func newRunner[S Slots](m *Machine) (*runner[S], error) {
+	c, err := compileCode[S](m)
+	if err != nil {
+		return nil, err
+	}
+	return &runner[S]{m: m, code: c}, nil
 }
 
 // execute runs the machine on a fresh engine seeded with gl. Exactly one of
 // opts.Resume and warm may be set; both nil is a from-scratch run.
-func (r runner[S]) execute(ctx context.Context, opts RunOptions, warm *pregel.WarmStartOptions, gl *globals) (*Result, error) {
+func (r *runner[S]) execute(ctx context.Context, opts RunOptions, warm *pregel.WarmStartOptions, gl *globals) (*Result, error) {
 	m := r.m
 	if opts.MaxSupersteps <= 0 {
 		opts.MaxSupersteps = 100_000
@@ -398,6 +400,10 @@ func (r runner[S]) execute(ctx context.Context, opts RunOptions, warm *pregel.Wa
 		Quarantine:    opts.Quarantine,
 		Shard:         opts.Shard,
 	})
+	r.evs = make([]*evaluator[S], eng.Workers())
+	for i := range r.evs {
+		r.evs[i] = newEvaluator(m, r.code)
+	}
 	eng.SetMessageSize(m.msgBytes)
 	eng.SetValueCodec(vstateCodec{})
 	eng.SetMessageCodec(msgCodec[S]{})
@@ -514,17 +520,12 @@ func (m *Machine) StateBytes() float64 {
 // Init runs at superstep 0 on every vertex: default-initialize the
 // synthesized fields, evaluate the init{} body, and prime phase 0's send
 // groups with full slot values.
-func (r runner[S]) Init(ctx *pregel.Context[VState, Msg[S]]) {
-	m := r.m
-	u := ctx.ID()
-	base := int(u) * m.stride
-	for i, f := range m.prog.Layout.Fields {
-		m.state[base+i] = m.fieldDefault(f)
-	}
-	var lets [letsOnStack]float64
-	ev := &evaluator[S]{m: m, ctx: ctx, base: base, u: u, lets: m.lets(lets[:])}
-	ev.eval(m.prog.Init)
-	if len(m.prog.Phases) > 0 {
+func (r *runner[S]) Init(ctx *pregel.Context[VState, Msg[S]]) {
+	ev := r.evs[ctx.Worker()]
+	ev.begin(ctx, ctx.ID(), nil, 0)
+	copy(ev.state[ev.base:ev.base+r.m.stride], r.code.defaults)
+	r.code.init(ev)
+	if len(r.m.prog.Phases) > 0 {
 		ev.primeSends(0)
 	}
 	// The master activates all vertices for the first body superstep, so
@@ -548,14 +549,11 @@ func (m *Machine) fieldDefault(f core.FieldSpec) float64 {
 }
 
 // Compute runs a vertex at supersteps >= 1.
-func (r runner[S]) Compute(ctx *pregel.Context[VState, Msg[S]], msgs []Msg[S]) {
-	m := r.m
+func (r *runner[S]) Compute(ctx *pregel.Context[VState, Msg[S]], msgs []Msg[S]) {
 	gl := ctx.Globals().(*globals)
 	u := ctx.ID()
-	base := int(u) * m.stride
-	var lets [letsOnStack]float64
-	ev := &evaluator[S]{m: m, ctx: ctx, base: base, u: u, msgs: msgs, iter: gl.Iter, lets: m.lets(lets[:])}
-	ph := &m.prog.Phases[gl.Phase]
+	ev := r.evs[ctx.Worker()]
+	ev.begin(ctx, u, msgs, gl.Iter)
 	switch gl.Mode {
 	case modePrime:
 		// Messages in flight at a prime superstep belong to the previous,
@@ -563,7 +561,7 @@ func (r runner[S]) Compute(ctx *pregel.Context[VState, Msg[S]], msgs []Msg[S]) {
 		ev.primeSends(gl.Phase)
 		ctx.VoteToHalt()
 	case modeBody:
-		ev.eval(ph.Body)
+		r.code.bodies[gl.Phase](ev)
 		if ev.changed {
 			// $unchanged is a non-persistent AND: it restarts at its
 			// identity 1 every superstep, so only a change contributes.
@@ -590,76 +588,4 @@ func boolTo01(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// primeSends implements the initial full-value send of §6.1 ("at the first
-// superstep send the data from the neighbors' perspective") for every send
-// group of a phase, records the sent values as the most-recently-sent
-// state, and clears the dirty bits.
-func (ev *evaluator[S]) primeSends(phase int) {
-	for _, gid := range ev.m.prog.Phases[phase].Groups {
-		ev.primeGroup(ev.m.prog.Groups[gid])
-	}
-}
-
-func (ev *evaluator[S]) primeGroup(g *core.SendGroup) {
-	m := ev.m
-	sites := m.groupSites[g.ID]
-	buildFull := func(w float64) (Msg[S], bool) {
-		msg := Msg[S]{MsgHeader: MsgHeader{Group: uint8(g.ID), NVals: uint8(len(sites))}, Sender: ev.u}
-		noop := true
-		for i, s := range sites {
-			ev.curWeight = w
-			v := ev.eval(s.SlotExpr)
-			msg.Vals[i] = v
-			if s.Multiplicative() {
-				if abs, _ := core.Absorbing(s.Op); v == abs {
-					msg.TagNull |= 1 << i
-					noop = false
-					continue
-				}
-			}
-			if v != core.Identity(s.Op) {
-				noop = false
-			}
-		}
-		if noop && g.Strategy != core.StrategyTable {
-			// An all-identity message cannot affect any accumulator;
-			// receivers' caches already agree (Def. 1's initial
-			// coherence), so it is never meaningful.
-			return msg, false
-		}
-		return msg, true
-	}
-	if !m.usesWeight[g.ID] {
-		// Edge-independent payload: build once, broadcast (Eq. 7 lift).
-		if msg, sendIt := buildFull(1); sendIt {
-			ev.forPushEdges(g.PushDir, func(dest graph.VertexID, _ float64) {
-				ev.ctx.Send(dest, msg)
-			})
-		}
-	} else {
-		ev.forPushEdges(g.PushDir, func(dest graph.VertexID, w float64) {
-			if msg, sendIt := buildFull(w); sendIt {
-				ev.ctx.Send(dest, msg)
-			}
-		})
-	}
-	// Record what receivers now believe (§6.2) and reset the dirty bits.
-	if g.DirtySlot >= 0 {
-		m.state[ev.base+g.DirtySlot] = 0
-	}
-	for _, s := range sites {
-		for i, fslot := range s.Fields {
-			if s.OldSlots != nil {
-				m.state[ev.base+s.OldSlots[i]] = m.state[ev.base+fslot]
-			}
-		}
-		if s.LastNNSlot >= 0 {
-			ev.curWeight = 1
-			if v := ev.eval(s.SlotExpr); v != 0 {
-				m.state[ev.base+s.LastNNSlot] = v
-			}
-		}
-	}
 }

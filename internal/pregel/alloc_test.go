@@ -11,8 +11,8 @@ import (
 // TestSteadyStateAllocs pins the engine's zero-allocation invariant: once
 // the per-run scratch is warm (superstep >= 2), a superstep performs no
 // heap allocation on the PageRank and SSSP message paths, nor on a keyed
-// HITS-shaped path mixing two combine keys with NoKey messages, under both
-// schedulers.
+// HITS-shaped path mixing two combine keys with NoKey messages, nor on the
+// keyed BroadcastOut/BroadcastIn path, under both schedulers.
 //
 // Measuring "allocations per superstep" directly is awkward because Run
 // drives the whole superstep loop, so the test measures the marginal cost:
@@ -72,13 +72,31 @@ func TestSteadyStateAllocs(t *testing.T) {
 			}
 			checkMarginalAllocs(t, run(5), run(9))
 		})
+		t.Run("broadcast/"+schedName(sched), func(t *testing.T) {
+			run := func(rounds int) func() int {
+				return func() int {
+					e := New[prVal, keyMsg](g, Options{Workers: 4, Scheduler: sched, MaxSupersteps: 32})
+					e.SetCombiner(keyComb{})
+					stats, err := e.Run(hubAuthProgram{rounds: rounds, broadcast: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return stats.Supersteps
+				}
+			}
+			checkMarginalAllocs(t, run(5), run(9))
+		})
 	}
 }
 
 // hubAuthProgram is a HITS-shaped keyed workload: every round each vertex
 // sends key 0 along its out-edges, key 1 along its in-edges, and one NoKey
-// message to its successor ID, and sums everything it receives.
-type hubAuthProgram struct{ rounds int }
+// message to its successor ID, and sums everything it receives. With
+// broadcast set the edge sends go through BroadcastOut/BroadcastIn.
+type hubAuthProgram struct {
+	rounds    int
+	broadcast bool
+}
 
 func (p hubAuthProgram) Init(ctx *Context[prVal, keyMsg]) { p.send(ctx) }
 
@@ -93,7 +111,14 @@ func (p hubAuthProgram) Compute(ctx *Context[prVal, keyMsg], msgs []keyMsg) {
 	}
 }
 
-func (hubAuthProgram) send(ctx *Context[prVal, keyMsg]) {
+func (p hubAuthProgram) send(ctx *Context[prVal, keyMsg]) {
+	next := (int(ctx.ID()) + 1) % ctx.NumVertices()
+	if p.broadcast {
+		ctx.BroadcastOut(keyMsg{Key: 0, Val: 1})
+		ctx.BroadcastIn(keyMsg{Key: 1, Val: 2})
+		ctx.Send(VertexID(next), keyMsg{Key: NoKey, Val: 3})
+		return
+	}
 	out := ctx.OutArcs()
 	for out.Next() {
 		ctx.Send(out.To(), keyMsg{Key: 0, Val: 1})
@@ -102,7 +127,6 @@ func (hubAuthProgram) send(ctx *Context[prVal, keyMsg]) {
 	for in.Next() {
 		ctx.Send(in.To(), keyMsg{Key: 1, Val: 2})
 	}
-	next := (int(ctx.ID()) + 1) % ctx.NumVertices()
 	ctx.Send(VertexID(next), keyMsg{Key: NoKey, Val: 3})
 }
 

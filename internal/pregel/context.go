@@ -60,6 +60,11 @@ func (c *Context[V, M]) InWeights() []float64 { return c.eng.g.InWeights(c.id) }
 // OutDegree returns this vertex's out-degree.
 func (c *Context[V, M]) OutDegree() int { return c.eng.g.OutDegree(c.id) }
 
+// Worker returns the index, in [0, Engine.Workers()), of the engine worker
+// running this vertex. Per-worker scratch indexed by it is never shared by
+// two vertex calls at once.
+func (c *Context[V, M]) Worker() int { return c.w.id }
+
 // Send sends m to vertex `to`, to be received next superstep. A combiner
 // folds m into this superstep's envelope for the same destination and key.
 func (c *Context[V, M]) Send(to VertexID, m M) {
@@ -74,35 +79,23 @@ func (c *Context[V, M]) Send(to VertexID, m M) {
 	w.outMsg[d] = append(w.outMsg[d], m)
 }
 
-// BroadcastOut sends m along every out-edge. The flat path ranges over
-// the shared adjacency slice; the compact path decodes through an
-// ArcIter — neither allocates.
+// BroadcastOut sends m along every out-edge. It is a Send per edge, but
+// the combine key is computed once for all of them (see worker.broadcast).
 func (c *Context[V, M]) BroadcastOut(m M) {
-	g := c.eng.g
-	if !g.IsCompact() {
-		for _, v := range g.OutNeighbors(c.id) {
-			c.Send(v, m)
-		}
-		return
-	}
-	it := g.OutArcs(c.id)
-	for it.Next() {
-		c.Send(it.To(), m)
+	if g := c.eng.g; g.IsCompact() {
+		c.w.broadcastArcs(g.OutArcs(c.id), m)
+	} else {
+		c.w.broadcast(g.OutNeighbors(c.id), m)
 	}
 }
 
-// BroadcastIn sends m along every in-edge (to all in-neighbours).
+// BroadcastIn sends m along every in-edge (to all in-neighbours), like
+// BroadcastOut.
 func (c *Context[V, M]) BroadcastIn(m M) {
-	g := c.eng.g
-	if !g.IsCompact() {
-		for _, v := range g.InNeighbors(c.id) {
-			c.Send(v, m)
-		}
-		return
-	}
-	it := g.InArcs(c.id)
-	for it.Next() {
-		c.Send(it.To(), m)
+	if g := c.eng.g; g.IsCompact() {
+		c.w.broadcastArcs(g.InArcs(c.id), m)
+	} else {
+		c.w.broadcast(g.InNeighbors(c.id), m)
 	}
 }
 

@@ -192,6 +192,10 @@ func New[V, M any](g *graph.Graph, opts Options) *Engine[V, M] {
 	return e
 }
 
+// Workers returns the engine's worker count (Options.Workers after
+// defaulting and clamping to the vertex count).
+func (e *Engine[V, M]) Workers() int { return len(e.workers) }
+
 // SetCombiner installs a sender-side message combiner.
 func (e *Engine[V, M]) SetCombiner(c Combiner[M]) { e.combiner = c }
 
@@ -857,8 +861,8 @@ func (w *worker[V, M]) runGuarded(prog Program[V, M], slot int) (panicked bool) 
 		}
 		for d, mark := range w.sendMark {
 			for j := mark; w.comb != nil && j < len(w.outTo[d]); j++ {
-				if row, ok := w.combRow(e.slotOf(w.outTo[d][j]), w.outMsg[d][j]); ok {
-					w.comb[row].stamp = 0
+				if key, ok := w.combKey(w.outMsg[d][j]); ok {
+					w.comb[e.slotOf(w.outTo[d][j])*e.combKeys+key].stamp = 0
 				}
 			}
 			w.outTo[d] = w.outTo[d][:mark]
@@ -900,32 +904,91 @@ type combineUndo[M any] struct {
 // opens one: envelopes keep their first send's position and fold in order.
 func (w *worker[V, M]) sendCombined(to VertexID, m M) {
 	slot := w.eng.slotOf(to)
-	d, row, ok := slot/w.eng.block, slot, true
-	if w.eng.keyed != nil {
-		row, ok = w.combRow(slot, m)
+	d := slot / w.eng.block
+	key, ok := w.combKey(m)
+	if !ok {
+		w.outTo[d] = append(w.outTo[d], to)
+		w.outMsg[d] = append(w.outMsg[d], m)
+		return
 	}
-	if ok {
-		ent := &w.comb[row]
-		if j := int(ent.idx); ent.stamp == w.combEpoch {
-			out := w.outMsg[d]
-			if w.sendMark != nil && j < w.sendMark[d] {
-				w.undo = append(w.undo, combineUndo[M]{d, j, out[j]})
-			}
-			w.inCombine = true
-			out[j] = w.eng.combiner.Combine(out[j], m)
-			w.inCombine = false
-			return
+	w.fold(to, d, slot*w.eng.combKeys+key, m)
+}
+
+// broadcast sends m to every vertex of adj, a flat graph's shared
+// adjacency slice. The message is the same on every arc, so its combine
+// key and the key's range check are computed once; per arc only the slot
+// and row arithmetic, the stamp probe and the fold or append remain.
+// Counting, the Quarantine undo log and combiner-panic attribution are
+// those of Send.
+func (w *worker[V, M]) broadcast(adj []VertexID, m M) {
+	e := w.eng
+	key, keyed := w.broadcastKey(m)
+	for _, to := range adj {
+		w.sent++
+		slot := e.slotOf(to)
+		d := slot / e.block
+		if !keyed {
+			w.outTo[d] = append(w.outTo[d], to)
+			w.outMsg[d] = append(w.outMsg[d], m)
+			continue
 		}
-		*ent = combEntry{uint32(len(w.outTo[d])), w.combEpoch}
+		w.fold(to, d, slot*e.combKeys+key, m)
 	}
+}
+
+// broadcastArcs is broadcast over a compact graph's arcs. Kept apart from
+// broadcast because an ArcIter on a flat graph costs a call per arc.
+func (w *worker[V, M]) broadcastArcs(it graph.ArcIter, m M) {
+	e := w.eng
+	key, keyed := w.broadcastKey(m)
+	for it.Next() {
+		w.sent++
+		to := it.To()
+		slot := e.slotOf(to)
+		d := slot / e.block
+		if !keyed {
+			w.outTo[d] = append(w.outTo[d], to)
+			w.outMsg[d] = append(w.outMsg[d], m)
+			continue
+		}
+		w.fold(to, d, slot*e.combKeys+key, m)
+	}
+}
+
+// broadcastKey returns the combine key of a broadcast message; false means
+// every copy opens its own envelope (no combiner, or NoKey).
+func (w *worker[V, M]) broadcastKey(m M) (int, bool) {
+	if w.comb == nil {
+		return 0, false
+	}
+	return w.combKey(m)
+}
+
+// fold folds m into this superstep's envelope at combine-table row, or
+// opens one at the end of the outbox to worker d.
+func (w *worker[V, M]) fold(to VertexID, d, row int, m M) {
+	ent := &w.comb[row]
+	if j := int(ent.idx); ent.stamp == w.combEpoch {
+		out := w.outMsg[d]
+		if w.sendMark != nil && j < w.sendMark[d] {
+			w.undo = append(w.undo, combineUndo[M]{d, j, out[j]})
+		}
+		w.inCombine = true
+		out[j] = w.eng.combiner.Combine(out[j], m)
+		w.inCombine = false
+		return
+	}
+	*ent = combEntry{uint32(len(w.outTo[d])), w.combEpoch}
 	w.outTo[d] = append(w.outTo[d], to)
 	w.outMsg[d] = append(w.outMsg[d], m)
 }
 
-// combRow returns the combine-table row of m sent to slot; false for NoKey.
-func (w *worker[V, M]) combRow(slot int, m M) (int, bool) {
+// combKey returns m's combine key: 0 for a plain combiner, Key(m) for a
+// keyed one; false for NoKey. A key outside [0, Keys()) panics, attributed
+// to the combiner.
+func (w *worker[V, M]) combKey(m M) (int, bool) {
 	if w.eng.keyed == nil {
-		return slot, true
+		return 0, true
 	}
 	w.inCombine = true
 	k, keys := w.eng.keyed.Key(m), w.eng.combKeys
@@ -933,7 +996,7 @@ func (w *worker[V, M]) combRow(slot int, m M) (int, bool) {
 		panic(fmt.Sprintf("pregel: KeyedCombiner.Key returned %d, outside [0, %d)", k, keys))
 	}
 	w.inCombine = false
-	return slot*keys + int(k), k != NoKey
+	return int(k), k != NoKey
 }
 
 // exchange gathers inbound envelopes into a per-vertex CSR inbox, wakes
